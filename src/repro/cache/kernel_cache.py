@@ -18,6 +18,7 @@ contention point at the paper's thread counts, the tree lock is.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.common import constants
@@ -143,6 +144,67 @@ class KernelPageCache:
         clock.charge("fault.lru", constants.LINUX_LRU_UPDATE_CYCLES)
         return page
 
+    def absent_pages(self, file: "BackingFile", start: int, end: int) -> List[int]:
+        """File pages in ``[start, end)`` that are not resident (no cost)."""
+        file_id = file.file_id
+        resident = self._pages
+        return [page for page in range(start, end) if (file_id, page) not in resident]
+
+    def insert_run(
+        self,
+        clock: CycleClock,
+        thread_id: int,
+        file: "BackingFile",
+        file_pages: List[int],
+    ) -> List[int]:
+        """Allocate a frame for each of ``file_pages`` and insert it, in order.
+
+        Charge for charge the same as :meth:`allocate_frame` then
+        :meth:`insert` per page: ``fault.page_alloc``,
+        ``fault.pcache_insert`` and ``fault.lru`` in that order, one tree
+        lock acquisition each.  Only the first acquisition can wait:
+        executor operations are atomic, so once this thread has released
+        the lock no other thread takes it before the run ends.
+
+        Stops at the first page the free list cannot serve, with its
+        ``fault.page_alloc`` charged as a failed :meth:`allocate_frame`
+        charges it, so the caller can reclaim and go on from that page.
+        Returns the frames of the pages inserted, in order.
+        """
+        cache = self._file_cache(file)
+        lock = cache.tree_lock
+        tree_insert = cache.tree.insert
+        charge = clock.charge
+        free = self._free
+        resident = self._pages
+        order = self.lru._order
+        alloc_cycles = constants.LINUX_PAGE_ALLOC_CYCLES
+        insert_cycles = constants.LINUX_PCACHE_INSERT_CYCLES
+        lru_cycles = constants.LINUX_LRU_UPDATE_CYCLES
+        frames: List[int] = []
+        for file_page in file_pages:
+            charge("fault.page_alloc", alloc_cycles)
+            if not free:
+                break
+            frame = free.pop()
+            if not frames:
+                lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+            charge("fault.pcache_insert", insert_cycles)
+            page = CachePage(file, file_page, frame)
+            tree_insert(file_page, page)
+            if not frames:
+                lock.release(clock, thread_id)
+            released_at = clock.now
+            resident[page.key] = page
+            # A non-resident key is never on the LRU: it joins the hot end.
+            order[page.key] = None
+            charge("fault.lru", lru_cycles)
+            frames.append(frame)
+        if len(frames) > 1:
+            lock.reacquired_uncontended(len(frames) - 1, released_at)
+        self.pool.claim(frames)
+        return frames
+
     def mark_dirty(self, clock: CycleClock, thread_id: int, page: CachePage) -> None:
         """Mark dirty — requires the tree lock (the Fig 10 write bottleneck)."""
         cache = self._file_cache(page.file)
@@ -154,21 +216,17 @@ class KernelPageCache:
     def pick_victims(self, count: int) -> List[CachePage]:
         """Choose up to ``count`` cold pages for reclaim (LRU order).
 
+        Walks the LRU lazily from the cold end and stops at ``count``;
+        every LRU key is resident (pages join and leave both together).
         With a QoS ``partition`` installed, candidates are reordered so
         over-quota tenants' pages are reclaimed first (LRU order within
         each preference class).
         """
-        keys = self.lru.keys_cold_to_hot()
+        keys = self.lru.cold_to_hot()
         if self.partition is not None:
             keys = self.partition.victim_order(keys, self._pages)
-        victims = []
-        for key in keys:
-            page = self._pages.get(key)
-            if page is not None:
-                victims.append(page)
-                if len(victims) >= count:
-                    break
-        return victims
+        resident = self._pages
+        return [resident[key] for key in islice(keys, count)]
 
     def remove(self, clock: CycleClock, thread_id: int, page: CachePage) -> None:
         """Drop a page from the tree and return its frame to the free pool."""
@@ -177,7 +235,11 @@ class KernelPageCache:
         clock.charge("reclaim.remove", constants.LINUX_TREE_LOCK_HOLD_CYCLES)
         cache.tree.remove(page.file_page)
         cache.tree_lock.release(clock, thread_id)
-        self._finish_remove(page)
+        self._pages.pop(page.key, None)
+        self.lru.remove(page.key)
+        self.pool.mark_free(page.frame)
+        self._free.append(page.frame)
+        self.evictions += 1
 
     def remove_batch(
         self, clock: CycleClock, thread_id: int, pages: List[CachePage]
@@ -186,13 +248,17 @@ class KernelPageCache:
 
         Mirrors ``shrink_page_list``: reclaim processes victims grouped by
         mapping, *trylocks* each tree lock, and skips busy mappings rather
-        than queueing behind their faulting threads.  Returns the pages
-        actually removed.
+        than queueing behind their faulting threads.  Each removed page
+        leaves the tree, the resident map and the LRU in one loop; its
+        frame is scrubbed and pushed on the free list in victim order.
+        Returns the pages actually removed.
         """
         by_file: Dict[int, List[CachePage]] = {}
         for page in pages:
             by_file.setdefault(page.file.file_id, []).append(page)
         removed: List[CachePage] = []
+        resident = self._pages
+        order = self.lru._order
         for file_id, group in by_file.items():
             cache = self._files[file_id]
             if not cache.tree_lock.try_acquire(clock, thread_id):
@@ -201,21 +267,19 @@ class KernelPageCache:
                 "reclaim.remove",
                 constants.LINUX_TREE_LOCK_HOLD_CYCLES + 60 * (len(group) - 1),
             )
+            tree_remove = cache.tree.remove
+            frames = []
             for page in group:
-                cache.tree.remove(page.file_page)
+                tree_remove(page.file_page)
+                resident.pop(page.key, None)
+                order.pop(page.key, None)
+                frames.append(page.frame)
             cache.tree_lock.release(clock, thread_id)
-            for page in group:
-                self._finish_remove(page)
+            self.pool.release(frames)
+            self._free.extend(frames)
+            self.evictions += len(group)
             removed.extend(group)
         return removed
-
-    def _finish_remove(self, page: CachePage) -> None:
-        self._pages.pop(page.key, None)
-        self.lru.remove(page.key)
-        self.pool.mark_free(page.frame)
-        self._free.append(page.frame)
-        self.evictions += 1
-
 
     def pages_of_file(self, file_id: int) -> List[CachePage]:
         """All resident pages belonging to ``file_id`` (file deletion)."""

@@ -13,7 +13,7 @@ parameters taken from datasheets:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.common import units
 from repro.common.errors import OutOfSpaceError, TornWriteError, TransientDeviceError
@@ -56,6 +56,17 @@ class BackingStore:
         """The 4 KiB contents of ``page_index`` (zeros if never written)."""
         self._check(page_index)
         return self._pages.get(page_index, ZERO_PAGE)
+
+    def read_pages(self, first_page: int, count: int) -> List[bytes]:
+        """The contents of ``count`` pages from ``first_page``, zero-copy.
+
+        Returns the store's own immutable page objects (``ZERO_PAGE`` for
+        pages never written) instead of joining them into one buffer.
+        """
+        self._check(first_page)
+        self._check(first_page + count - 1)
+        pages = self._pages
+        return [pages.get(index, ZERO_PAGE) for index in range(first_page, first_page + count)]
 
     def write_page(self, page_index: int, data: bytes) -> None:
         """Replace the 4 KiB contents of ``page_index``."""
@@ -299,21 +310,16 @@ class BlockDevice:
             return self.write_latency_cycles + nbytes * self.write_cycles_per_byte
         return self.read_latency_cycles + nbytes * self.read_cycles_per_byte
 
-    def submit(
+    def _serve(
         self,
         clock: CycleClock,
         offset: int,
         nbytes: int,
         is_write: bool,
-        data: Optional[bytes] = None,
-        wait_category: str = "idle.io",
-    ) -> Optional[bytes]:
-        """Synchronously execute one command, blocking the clock.
-
-        Returns the data for reads; stores ``data`` for writes.  The
-        calling thread waits from submission to completion (queueing +
-        service), charged to ``wait_category``.
-        """
+        data: Optional[bytes],
+        wait_category: str,
+    ) -> None:
+        """Block ``clock`` through one command's queueing, service and faults."""
         timeline = self._write_timeline if is_write else self._read_timeline
         start = timeline.admit(clock.now)
         completion = start + self.service_cycles(nbytes, is_write)
@@ -333,6 +339,22 @@ class BlockDevice:
                     self._apply_fault(decision, offset, nbytes, is_write, data)
         clock.wait_until(completion, wait_category)
 
+    def submit(
+        self,
+        clock: CycleClock,
+        offset: int,
+        nbytes: int,
+        is_write: bool,
+        data: Optional[bytes] = None,
+        wait_category: str = "idle.io",
+    ) -> Optional[bytes]:
+        """Synchronously execute one command, blocking the clock.
+
+        Returns the data for reads; stores ``data`` for writes.  The
+        calling thread waits from submission to completion (queueing +
+        service), charged to ``wait_category``.
+        """
+        self._serve(clock, offset, nbytes, is_write, data, wait_category)
         if is_write:
             if data is None or len(data) != nbytes:
                 raise ValueError("write needs data of the stated size")
@@ -343,6 +365,26 @@ class BlockDevice:
         self.reads += 1
         self.bytes_read += nbytes
         return self.store.read(offset, nbytes)
+
+    def submit_read_pages(
+        self,
+        clock: CycleClock,
+        offset: int,
+        count: int,
+        wait_category: str = "idle.io",
+    ) -> List[bytes]:
+        """Synchronously read ``count`` whole pages at page-aligned ``offset``.
+
+        The same command as ``submit(clock, offset, count * PAGE_SIZE,
+        is_write=False)``: same timing, fault decision and counters.  The
+        data comes back as the store's page objects (zero-copy, see
+        :meth:`BackingStore.read_pages`), not as one joined buffer.
+        """
+        nbytes = count << units.PAGE_SHIFT
+        self._serve(clock, offset, nbytes, False, None, wait_category)
+        self.reads += 1
+        self.bytes_read += nbytes
+        return self.store.read_pages(offset >> units.PAGE_SHIFT, count)
 
     def submit_async(
         self,

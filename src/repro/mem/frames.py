@@ -81,6 +81,20 @@ class FramePool:
         self._allocated[frame] = False
         self._data.pop(frame, None)
 
+    def claim(self, frames: List[int]) -> None:
+        """``mark_allocated`` for each of ``frames`` (taken from this pool)."""
+        allocated = self._allocated
+        for frame in frames:
+            allocated[frame] = True
+
+    def release(self, frames: List[int]) -> None:
+        """``mark_free`` for each of ``frames`` (handed out by this pool)."""
+        allocated = self._allocated
+        data = self._data
+        for frame in frames:
+            allocated[frame] = False
+            data.pop(frame, None)
+
     def is_allocated(self, frame: int) -> bool:
         """Whether ``frame`` is currently in use."""
         self._check(frame)
@@ -103,6 +117,15 @@ class FramePool:
         if len(data) != units.PAGE_SIZE:
             raise ValueError(f"frame write must be {units.PAGE_SIZE} bytes")
         self._data[frame] = bytes(data)
+
+    def install(self, frames: List[int], pages: List[bytes]) -> None:
+        """Fill ``frames`` with ``pages``, one 4 KiB page each, zero-copy.
+
+        ``pages`` are immutable ``bytes`` objects (a device store's own
+        pages), so the frames can share them: a frame's contents are only
+        ever replaced, never changed in place.
+        """
+        self._data.update(zip(frames, pages))
 
     def write_partial(self, frame: int, offset: int, data: bytes) -> None:
         """Overwrite ``data`` at byte ``offset`` within ``frame``."""

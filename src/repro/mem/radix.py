@@ -39,6 +39,7 @@ class RadixTree:
         self._root: Optional[_RadixNode] = None
         self._height = 0      # levels below the root
         self._size = 0
+        self._max_key = -1    # largest key the current height can hold
 
     def __len__(self) -> int:
         return self._size
@@ -46,21 +47,18 @@ class RadixTree:
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
 
-    def _max_key(self) -> int:
-        if self._root is None:
-            return -1
-        return (1 << (RADIX_BITS * (self._height + 1))) - 1
-
     def _extend(self, key: int) -> None:
         if self._root is None:
             self._root = _RadixNode()
             self._height = 0
-        while key > self._max_key():
+            self._max_key = RADIX_FANOUT - 1
+        while key > self._max_key:
             new_root = _RadixNode()
             new_root.slots[0] = self._root
             new_root.count = 1
             self._root = new_root
             self._height += 1
+            self._max_key = (1 << (RADIX_BITS * (self._height + 1))) - 1
 
     def insert(self, key: int, value: Any) -> bool:
         """Insert or replace; returns True when the key was new."""
@@ -68,7 +66,8 @@ class RadixTree:
             raise ValueError("keys must be non-negative")
         if value is None:
             raise ValueError("None values are not storable")
-        self._extend(key)
+        if key > self._max_key:
+            self._extend(key)
         node = self._root
         for level in range(self._height, 0, -1):
             index = (key >> (RADIX_BITS * level)) & (RADIX_FANOUT - 1)
@@ -88,7 +87,7 @@ class RadixTree:
 
     def get(self, key: int) -> Optional[Any]:
         """Value under ``key`` or None."""
-        if self._root is None or key < 0 or key > self._max_key():
+        if key < 0 or key > self._max_key:
             return None
         node = self._root
         for level in range(self._height, 0, -1):
@@ -100,7 +99,7 @@ class RadixTree:
 
     def remove(self, key: int) -> Optional[Any]:
         """Delete ``key``; returns the removed value or None."""
-        if self._root is None or key < 0 or key > self._max_key():
+        if key < 0 or key > self._max_key:
             return None
         path: List[Tuple[_RadixNode, int]] = []
         node = self._root

@@ -102,7 +102,8 @@ class CycleClock:
             raise ValueError(f"negative charge: {cycles} for {category}")
         scaled = cycles * self.cpi_factor
         self.now += scaled
-        self.breakdown.add(category, scaled)
+        if scaled:
+            self.breakdown._cycles[category] += scaled
         span = self._obs_span
         if span is not None:
             span.charge(category, scaled)
@@ -113,7 +114,7 @@ class CycleClock:
         if waited <= 0:
             return 0.0
         self.now = time
-        self.breakdown.add(category, waited)
+        self.breakdown._cycles[category] += waited
         span = self._obs_span
         if span is not None:
             span.charge(category, waited)

@@ -102,6 +102,19 @@ class SpinlockTimeline:
         # the future guards against missing-release bugs.
         self._free_at = float("inf")
 
+    def reacquired_uncontended(self, times: int, released_at: float) -> None:
+        """Account ``times`` more acquire/release pairs that cannot wait.
+
+        For the thread that has just released this lock and takes it
+        again within the same executor operation: operations run
+        atomically, so no other thread holds the lock in between and
+        every such acquisition finds it free (no wait, no handoff).
+        ``released_at`` is the time of the last release.
+        """
+        self.acquisitions += times
+        LOCK_STATS.acquisitions += times
+        self._free_at = released_at
+
     def try_acquire(self, clock: CycleClock, holder_id: int = 0) -> bool:
         """Take the lock only if it is free right now; True on success.
 

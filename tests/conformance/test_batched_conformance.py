@@ -15,7 +15,10 @@ from repro.sim.conformance import (
     ENGINE_KINDS,
     MMIO_ENGINE_KINDS,
     MODE_COUNTERS,
+    assert_fastforward_agrees,
     assert_modes_agree,
+    diff_digests,
+    mmio_state_digest,
     run_cell,
     run_explicit_cell,
 )
@@ -103,6 +106,26 @@ class TestCleanConformance:
             accesses_per_thread=64,
         )
 
+    def test_aquila_out_of_memory_seed_18(self):
+        # Regression: a hit run could start up to 120 cycles past the heap
+        # top, ahead of another thread's earlier-starting fault whose
+        # eviction batch unmaps the hit's page.  The unbatched reference
+        # runs that fault first, so the batched run took 15179 faults
+        # and 444 eviction batches against 15205 and 445.
+        digest = assert_fastforward_agrees(
+            _mmio,
+            engine_kind="aquila",
+            seed=18,
+            num_threads=16,
+            accesses_per_thread=1024,
+            cache_pages=1024,
+            dataset_pages=12800,
+            write_fraction=0.0,
+            touch_once=False,
+        )
+        assert digest["engine"]["faults"] == 15205
+        assert digest["engine"]["eviction_batches"] == 445
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_explicit_solo(self, seed):
         assert_modes_agree(run_explicit_cell, seed=seed)
@@ -140,6 +163,105 @@ class TestFaultyConformance:
             fault_seed=4,
         )
         assert digest["fault_schedule"], "fault plan injected nothing"
+
+
+def _linux_readahead_cell(batched, seed, cores, fault_spec=None, traced=False):
+    """A Linux cell mapped ``MADV_NORMAL``: every fault reads a readahead
+    window, and the 96-page cache (24-page windows) reclaims mid-window.
+
+    ``run_cell`` maps ``MADV_RANDOM`` (1-page windows), so this builds the
+    same microbenchmark by hand.  Threads run on ``cores``; siblings of
+    one physical core get the SMT CPI factor.  Returns the state digest,
+    the merged breakdown and, when ``traced``, the finished spans.
+    """
+    from repro.bench.setups import make_linux_stack
+    from repro.common import units
+    from repro.fault.plan import FaultPlan, install_plan
+    from repro.mmio.files import BackingFile
+    from repro.mmio.vma import MADV_NORMAL
+    from repro.obs import TRACER
+    from repro.sim.executor import SimThread, make_epoch_executor
+    from repro.workloads.microbench import access_workload
+
+    SimThread.reset_ids()
+    BackingFile.reset_ids()
+    plan = FaultPlan(seed, fault_spec) if fault_spec is not None else None
+    install_plan(plan)
+    with TRACER.isolated(enable=traced, capacity=1 << 18):
+        stack = make_linux_stack("nvme", 96)
+        engine = stack.engine
+        file = stack.allocator.create("ra", 256 * units.PAGE_SIZE)
+        threads = [SimThread(core=core) for core in cores]
+        mapping = engine.mmap(threads[0], file)
+        mapping.madvise(threads[0], MADV_NORMAL)
+        executor = make_epoch_executor(batched, engine.run_ahead_unbounded_ok)
+        for index, thread in enumerate(threads):
+            executor.add(
+                thread,
+                access_workload(
+                    thread, mapping, 160, 0.2, False, seed, index, len(threads)
+                ),
+            )
+        engine.machine.apply_smt_penalty(threads)
+        result = executor.run()
+        spans = TRACER.finished_spans() if traced else []
+        assert TRACER.dropped == 0
+    clear_plan()
+    return mmio_state_digest(stack, result, plan), result.merged_breakdown(), spans
+
+
+class TestLinuxReadaheadConformance:
+    """Readahead windows, mid-window reclaim and the readahead-abort path."""
+
+    def _agree(self, **kwargs):
+        unbatched, _, _ = _linux_readahead_cell(False, **kwargs)
+        batched, _, _ = _linux_readahead_cell(True, **kwargs)
+        problems = diff_digests(unbatched, batched)
+        assert not problems, "batched execution diverged:\n  " + "\n  ".join(
+            problems[:10]
+        )
+        assert unbatched["engine"]["reclaim_runs"] > 0
+        return unbatched
+
+    def test_smt_windows(self):
+        # Cores 0-3 and their siblings 16-19: every thread runs at CPI 1.4,
+        # so charges are fractional and their order matters bit for bit.
+        digest = self._agree(seed=3, cores=[0, 16, 1, 17, 2, 18, 3, 19])
+        breakdown = digest["threads"][0]["breakdown"]
+        assert any(not float(cycles).is_integer() for cycles in breakdown.values())
+
+    def test_faulty_windows_abort_readahead(self):
+        digest = self._agree(
+            seed=8,
+            cores=[0, 1, 2, 3, 4, 5],
+            fault_spec=FaultSpec(error_rate=0.1, latency_rate=0.02),
+        )
+        assert digest["fault_schedule"], "fault plan injected nothing"
+        assert digest["engine"]["readahead_aborted"] > 0
+
+    def test_tracing_changes_no_state_and_spans_cover_the_charges(self):
+        cores = [0, 16, 1, 17]
+        plain, _, _ = _linux_readahead_cell(True, seed=5, cores=cores)
+        traced, breakdown, spans = _linux_readahead_cell(
+            True, seed=5, cores=cores, traced=True
+        )
+        assert diff_digests(plain, traced) == []
+        # Every frame-allocation and tree-insert charge lands on a
+        # fault.alloc span (reclaim runs nest inside it under its own
+        # span); every fault-read wait and completion IRQ on fault.io.
+        owners = {
+            "fault.page_alloc": "fault.alloc",
+            "fault.pcache_insert": "fault.alloc",
+            "fault.lru": "fault.alloc",
+            "idle.io.fault": "fault.io",
+            "fault.io.irq": "fault.io",
+        }
+        for category, owner in owners.items():
+            charged = sum(
+                span.charges.get(category, 0.0) for span in spans if span.name == owner
+            )
+            assert breakdown.get(category) > 0
+            assert charged == pytest.approx(breakdown.get(category), rel=1e-12)
 
 
 class TestBatchingEngages:

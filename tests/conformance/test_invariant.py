@@ -1,13 +1,14 @@
-"""Audit of the batching invariant's arithmetic (DESIGN.md).
+"""Audit of the batching invariant's arithmetic and the executor's horizon
+(DESIGN.md §8).
 
-Run-ahead is admissible because a pure-hit operation finishes every
-shared-state interaction within ``HIT_INTERACTION_BOUND_CYCLES`` of its
-start, while every cross-thread-visible mutation sits behind at least
+A pure-hit operation finishes every shared-state interaction within
+``HIT_INTERACTION_BOUND_CYCLES`` of its start, while every
+cross-thread-visible mutation sits behind at least
 ``MIN_SYNC_PREAMBLE_CYCLES`` of charges from *its* operation's start.
-These tests pin the inequality and check that each engine's declared
-preamble floor actually meets the executor's requirement — if a future
-engine (or a cheaper fault path) drops below the floor, this fails
-before the conformance suite has to find the divergence empirically.
+These tests pin those audited figures and each engine's declared
+preamble floor.  The executor no longer relies on them: hit runs stop at
+the heap top's key, because the unbatched reference applies an
+operation's mutations atomically at its start (the horizon tests below).
 """
 
 import math
@@ -131,12 +132,14 @@ class TestExecutorBatchedMode:
         for t in threads:
             executor.add(t, workload(t))
         executor.run()
-        # With a shared core the quantum is zero: every published finite
-        # horizon equals the heap-top clock exactly (top + 0).  The two
-        # threads alternate in 100-cycle steps, so the horizons are the
-        # peer's clock at each pop.
+        # Every published finite horizon is the heap top's key: the
+        # peer's clock when this thread wins the tie on insertion order
+        # (thread a), else the largest float below it (thread b), so a
+        # hit op never starts where the unbatched heap would pop the peer
+        # first.  The two threads alternate in 100-cycle steps.
         finite = [h for _, h in horizons if h is not None and not math.isinf(h)]
-        assert finite == [0.0, 100.0, 100.0, 200.0]
+        below = lambda t: math.nextafter(t, -math.inf)  # noqa: E731
+        assert finite == [0.0, below(100.0), 100.0, below(200.0)]
 
     def test_min_run_continuation_matches_unbatched_schedule(self):
         def make(events, label):

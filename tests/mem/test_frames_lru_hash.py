@@ -107,7 +107,7 @@ class TestApproxLRU:
         for i, key in enumerate(touches):
             lru.touch(key)
             last_touch[key] = i
-        order = lru.keys_cold_to_hot()
+        order = list(lru.cold_to_hot())
         staleness = [last_touch[k] for k in order]
         assert staleness == sorted(staleness)
 
