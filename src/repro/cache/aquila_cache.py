@@ -64,7 +64,8 @@ class AquilaCache:
         #: when installed, victim selection prefers over-quota tenants.
         self.partition = None
         self._dirty_trees: List[RBTree] = [RBTree() for _ in range(num_cores)]
-        self._pages: Dict[Tuple[int, int], CachePage] = {}
+        # The hash table is the resident map: (file id, page) -> page.
+        self._pages: Dict[Tuple[int, int], CachePage] = self.table._map
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -114,14 +115,14 @@ class AquilaCache:
     ) -> CachePage:
         """CAS-install a freshly read page."""
         page = CachePage(file, file_page, frame)
-        if not self.table.insert(clock, page.key, page):
+        key = page.key
+        if not self.table.insert(clock, key, page):
             # Lost the race: another thread faulted the page in first.
             # Return the winner; the caller frees its speculative frame.
-            existing = self.table.get_nocost(page.key)
+            existing = self.table.get_nocost(key)
             if existing is not None:
                 return existing
-        self._pages[page.key] = page
-        self.lru.touch(page.key)
+        self.lru.touch(key)
         clock.charge("fault.lru", constants.AQUILA_LRU_UPDATE_CYCLES)
         return page
 
@@ -146,33 +147,71 @@ class AquilaCache:
 
     # -- eviction -------------------------------------------------------------
 
-    def pick_victims(self, clock: CycleClock, count: int) -> List[CachePage]:
+    def pick_victims(
+        self, clock: CycleClock, count: int, pinned: Optional[Tuple[int, int]] = None
+    ) -> List[CachePage]:
         """Choose up to ``count`` cold pages (approximate LRU order).
 
         With a QoS ``partition`` installed, candidates are reordered so
         over-quota tenants' pages come first (still LRU order within each
         preference class); the per-victim selection charge is unchanged.
+        The page keyed ``pinned`` (a fault's own page while its readahead
+        allocates) is never chosen.
         """
         keys = self.lru.cold_to_hot()
         if self.partition is not None:
             keys = self.partition.victim_order(keys, self._pages)
+        pages = self._pages
+        charge = clock.charge
         victims: List[CachePage] = []
         for key in keys:
-            page = self._pages.get(key)
-            if page is not None:
+            page = pages.get(key)
+            if page is not None and key != pinned:
                 victims.append(page)
-                clock.charge("evict.select", constants.LRU_VICTIM_SELECT_CYCLES)
+                charge("evict.select", constants.LRU_VICTIM_SELECT_CYCLES)
                 if len(victims) >= count:
                     break
         return victims
 
     def remove(self, clock: CycleClock, core: int, page: CachePage) -> None:
         """Drop an (already clean) page and recycle its frame."""
-        self.table.remove(clock, page.key)
-        self._pages.pop(page.key, None)
-        self.lru.remove(page.key)
-        self.freelist.free(clock, core, page.frame)
-        self.evictions += 1
+        self.remove_batch(clock, core, [page])
+
+    def remove_batch(self, clock: CycleClock, core: int, victims: List[CachePage]) -> None:
+        """``remove`` each (already clean) victim, in order, in one loop.
+
+        Per victim, exactly as the unbatched calls did: the hash-table
+        CAS removal (its charge, then its stripe line's atomic op, whose
+        wait can be fractional and so is stepped victim by victim), which
+        drops the page from the resident map, and the frame's return to
+        ``core``'s freelist queue, spilling to the NUMA queue whenever the
+        queue passes its threshold.  LRU entries and frame marks have no
+        clock effect, so they are dropped in bulk after the loop.
+        """
+        table = self.table
+        pages = self._pages
+        lines = table._stripes._lines
+        nlines = len(lines)
+        freelist = self.freelist
+        core_queue = freelist._core_queues[core]
+        threshold = freelist.core_threshold
+        charge = clock.charge
+        removed = 0
+        for page in victims:
+            key = page.key
+            charge("cache.hash.remove", constants.HASHTABLE_REMOVE_CYCLES)
+            lines[hash(key) % nlines].atomic_op(clock)
+            if pages.pop(key, None) is not None:
+                removed += 1
+            charge("cache.freelist", constants.FREELIST_OP_CYCLES)
+            core_queue.append(page.frame)
+            if len(core_queue) > threshold:
+                freelist._spill_to_node(clock, core)
+        table.removes += removed
+        freelist.frees += len(victims)
+        self.evictions += len(victims)
+        self.pool.release([page.frame for page in victims])
+        self.lru.remove_batch([page.key for page in victims])
 
     def dirty_pages_sorted(self, core: int) -> List[CachePage]:
         """Dirty pages of one core's tree in device-offset order.

@@ -42,9 +42,7 @@ SYSCALL_CYCLES = 300
 
 #: Aquila msync: merging the per-core dirty red-black trees into one
 #: device-offset-sorted flush set before any PTE downgrade (a tree walk
-#: plus sort setup).  Also the charge that keeps the msync path's first
-#: cross-thread-visible mutation behind the batching-invariant preamble
-#: (see ``repro.sim.executor``).
+#: plus sort setup).
 AQUILA_MSYNC_SCAN_CYCLES = 220
 
 # ---------------------------------------------------------------------------

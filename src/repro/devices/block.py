@@ -63,8 +63,9 @@ class BackingStore:
         Returns the store's own immutable page objects (``ZERO_PAGE`` for
         pages never written) instead of joining them into one buffer.
         """
-        self._check(first_page)
-        self._check(first_page + count - 1)
+        if first_page < 0 or first_page + count > self.capacity_bytes >> units.PAGE_SHIFT:
+            self._check(first_page)
+            self._check(first_page + count - 1)
         pages = self._pages
         return [pages.get(index, ZERO_PAGE) for index in range(first_page, first_page + count)]
 

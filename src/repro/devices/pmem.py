@@ -17,6 +17,8 @@ The DAX window exposes the same backing store byte-addressably.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.common import constants, units
 from repro.devices.block import BlockDevice
 from repro.fault.plan import FAULT_NONE
@@ -70,6 +72,30 @@ class PmemDevice(BlockDevice):
         No syscall, no bio: just the memcpy cost of the caller's copy
         strategy (SIMD for Aquila, Section 3.3).
         """
+        self._dax_copy_out(clock, fpu, offset, nbytes, category)
+        return self.store.read(offset, nbytes)
+
+    def dax_read_pages(
+        self,
+        clock: CycleClock,
+        fpu: FPUContext,
+        offset: int,
+        count: int,
+        category: str = "io.dax",
+    ) -> List[bytes]:
+        """``dax_read`` of ``count`` whole pages at page-aligned ``offset``.
+
+        Same copy cost, fault decision and counters; the data comes back
+        as the store's page objects, zero-copy (see
+        :meth:`BackingStore.read_pages`).
+        """
+        self._dax_copy_out(clock, fpu, offset, count << units.PAGE_SHIFT, category)
+        return self.store.read_pages(offset >> units.PAGE_SHIFT, count)
+
+    def _dax_copy_out(
+        self, clock: CycleClock, fpu: FPUContext, offset: int, nbytes: int, category: str
+    ) -> None:
+        """Charge one DAX read of ``nbytes``: media, faults, copy, counters."""
         media_done = (
             self.media.admit(clock.now, nbytes) if self.media is not None else 0.0
         )
@@ -78,7 +104,6 @@ class PmemDevice(BlockDevice):
         clock.wait_until(media_done, "idle.membw")
         self.reads += 1
         self.bytes_read += nbytes
-        return self.store.read(offset, nbytes)
 
     def dax_write(
         self,

@@ -61,20 +61,38 @@ def with_retries(
     ``<category>.retry_backoff`` cycles to ``clock`` before re-issuing.
     Raises :class:`DeviceError` once the policy is exhausted.
     """
+    try:
+        return attempt()
+    except TransientDeviceError as exc:
+        return retry_after_failure(clock, attempt, exc, category, policy)
+
+
+def retry_after_failure(
+    clock,
+    attempt: Callable[[], T],
+    error: TransientDeviceError,
+    category: str = "io",
+    policy: Optional[RetryPolicy] = None,
+) -> T:
+    """Finish :func:`with_retries` for a command whose first try raised ``error``.
+
+    Hot paths issue the first attempt inline and build the ``attempt``
+    callable only once it has failed; from there the retries, charges,
+    spans and counters are exactly those of :func:`with_retries`.
+    """
     policy = policy if policy is not None else DEFAULT_RETRY_POLICY
-    last_error: Optional[TransientDeviceError] = None
-    for attempt_index in range(policy.max_attempts):
-        if attempt_index:
-            # Looked up per retry (not cached at import) so the counters
-            # survive METRICS.reset(); retries are rare, the cost is noise.
-            METRICS.counter(
-                "fault.retries", help="I/O commands retried after a transient fault"
-            ).inc()
-            with TRACER.span("fault.retry", clock):
-                clock.charge(
-                    category + ".retry_backoff",
-                    policy.backoff_cycles(attempt_index - 1),
-                )
+    last_error = error
+    for attempt_index in range(1, policy.max_attempts):
+        # Looked up per retry (not cached at import) so the counters
+        # survive METRICS.reset(); retries are rare, the cost is noise.
+        METRICS.counter(
+            "fault.retries", help="I/O commands retried after a transient fault"
+        ).inc()
+        with TRACER.span("fault.retry", clock):
+            clock.charge(
+                category + ".retry_backoff",
+                policy.backoff_cycles(attempt_index - 1),
+            )
         try:
             return attempt()
         except TransientDeviceError as exc:

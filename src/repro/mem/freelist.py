@@ -40,7 +40,13 @@ class TwoLevelFreelist:
         """``core_of_numa_node`` maps a core index to its NUMA node."""
         self.pool = pool
         self.num_cores = num_cores
-        self._node_of_core = core_of_numa_node
+        # The topology is fixed: resolve each core's NUMA node, and the
+        # order its refills search the NUMA queues in, once.
+        self._node_of_core = [core_of_numa_node(core) for core in range(num_cores)]
+        self._refill_order = [
+            [node] + [n for n in range(pool.numa_nodes) if n != node]
+            for node in self._node_of_core
+        ]
         self.move_batch = move_batch
         self.core_threshold = core_threshold
         self._core_queues: List[Deque[int]] = [deque() for _ in range(num_cores)]
@@ -102,12 +108,8 @@ class TwoLevelFreelist:
         return frame
 
     def _refill_from_nodes(self, clock: CycleClock, core: int) -> None:
-        local_node = self._node_of_core(core)
-        order = [local_node] + [
-            n for n in range(self.pool.numa_nodes) if n != local_node
-        ]
         core_queue = self._core_queues[core]
-        for node in order:
+        for node in self._refill_order[core]:
             node_queue = self._node_queues[node]
             if not node_queue:
                 continue
@@ -138,7 +140,7 @@ class TwoLevelFreelist:
             self._spill_to_node(clock, core)
 
     def _spill_to_node(self, clock: CycleClock, core: int) -> None:
-        node = self._node_of_core(core)
+        node = self._node_of_core[core]
         core_queue = self._core_queues[core]
         take = min(self.move_batch, len(core_queue))
         clock.charge("cache.freelist.cas", constants.LOCK_TRANSFER_CYCLES)

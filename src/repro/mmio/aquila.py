@@ -62,12 +62,6 @@ class AquilaEngine(MmioEngine):
 
     name = "aquila"
 
-    #: Batching-invariant audit (see ``repro.sim.executor``): the earliest
-    #: cross-thread-visible interaction on any Aquila operation is behind
-    #: the 552-cycle fault entry, the mmap-class vmcall, or the msync
-    #: entry + dirty-tree scan (100 + 220) — whichever is smallest.
-    sync_preamble_cycles = 100 + constants.AQUILA_MSYNC_SCAN_CYCLES
-
     def __init__(
         self,
         machine: Machine,
@@ -111,7 +105,9 @@ class AquilaEngine(MmioEngine):
         self.eviction_batches = 0
         self.readahead_aborted = 0
         self.ff_faults = 0      # faults replayed by the fused fast path
-        self.ff_evictions = 0   # eviction batches replayed by the fused path
+        # Key of the page whose fault is reading ahead: eviction skips it,
+        # so a readahead window never evicts the page it was started for.
+        self._pinned = None
 
     # -- engine plumbing ------------------------------------------------------
 
@@ -158,7 +154,8 @@ class AquilaEngine(MmioEngine):
         if checked is None or checked.vma_id != vma.vma_id:
             raise SegmentationFault(vpn << units.PAGE_SHIFT)
         file = vma.file
-        file_page = vma.file_page_of(vpn)
+        # file_page_of, minus the containment recheck the entry just proved.
+        file_page = vma.file_start_page + (vpn - vma.start_vpn)
 
         page = self.cache.lookup(clock, file, file_page)
         if page is None:
@@ -172,7 +169,7 @@ class AquilaEngine(MmioEngine):
         page.mapped_vpns.add(vpn)
         clock.charge("fault.pte_install", constants.AQUILA_PTE_INSTALL_CYCLES)
         clock.charge("fault.misc", constants.AQUILA_FAULT_MISC_CYCLES)
-        self.machine.tlb_of(thread)._insert(vpn)
+        self.machine.tlbs[thread.core]._insert(vpn)
 
         if is_write:
             # Write fault: mark dirty during the initial fault (Section 3.2).
@@ -236,7 +233,6 @@ class AquilaEngine(MmioEngine):
         cycles["fault.trap"] += _F_TRAP
         # vmas.lookup: radix validity check behind the per-entry lock line
         # (zero-cost atomic: the line advances but never waits or charges).
-        # The flat mirror resolves the same entry the radix walk would.
         vmas = self.vmas
         vmas.lookups += 1
         now += constants.AQUILA_VMA_LOOKUP_CYCLES
@@ -245,7 +241,7 @@ class AquilaEngine(MmioEngine):
         line = lines[hash(vpn) % len(lines)]
         line.operations += 1
         line._free_at = now
-        checked = vmas._flat.get(vpn)
+        checked = vmas._entries.get(vpn)
         if checked is None or checked.vma_id != vma.vma_id:
             clock.now = now
             raise SegmentationFault(vpn << units.PAGE_SHIFT)
@@ -283,14 +279,13 @@ class AquilaEngine(MmioEngine):
                     now = clock.now
                 if core_queue:
                     frame = core_queue.popleft()
-                    freelist.pool.mark_allocated(frame)
+                    freelist.pool._allocated[frame] = True
                     freelist.allocations += 1
                     break
                 if attempt:
                     raise OutOfMemoryError("eviction freed no frames")
                 clock.now = now
-                if not self._evict_batch_ff(thread):
-                    self._evict_batch(thread)
+                self._evict_batch(thread)
                 now = clock.now
             # DaxIO.read minus the retry wrapper (a first attempt is free
             # and, with no fault plan armed, always succeeds): media
@@ -353,8 +348,9 @@ class AquilaEngine(MmioEngine):
             else:
                 table._map[key] = page
                 table.inserts += 1
-                cache._pages[key] = page
-                cache.lru.touch(key)
+                order = cache.lru._order
+                order[key] = None
+                order.move_to_end(key)
                 now += constants.AQUILA_LRU_UPDATE_CYCLES
                 cycles["fault.lru"] += float(constants.AQUILA_LRU_UPDATE_CYCLES)
             if page.frame != frame:
@@ -381,128 +377,13 @@ class AquilaEngine(MmioEngine):
         self.ff_faults += 1
         return page.frame
 
-    def _evict_batch_ff(self, thread: SimThread) -> bool:
-        """Fused clean-eviction batch: fast-forward's steady-state path.
-
-        Replays ``_evict_batch`` charge-for-charge for the common
-        out-of-memory regime — a full batch of *clean* victims — fusing
-        the per-victim select / hash-remove / freelist bookkeeping into
-        local arithmetic.  The clock still steps through every charge in
-        the real order (bulk float adds are only used for breakdown
-        buckets that provably hold integer sums), stripe-line waits are
-        replayed individually (they can be fractional), and the TLB
-        shootdown runs for real.
-
-        Returns False — caller must run the real ``_evict_batch`` — when
-        any victim is dirty (writeback has real I/O semantics) or a crash
-        point is armed.  The pre-scan is cost- and mutation-free, so
-        falling back is always safe.
-        """
-        cache = self.cache
-        if cache.partition is not None:
-            # A QoS partition reorders victim selection away from the
-            # plain LRU walk this fused batch inlines; take the real
-            # ``_evict_batch`` -> ``pick_victims`` path instead.
-            return False
-        pages = cache._pages
-        count = cache.eviction_batch
-        victims = []
-        for key in cache.lru._order:
-            page = pages.get(key)
-            if page is not None:
-                if page.dirty:
-                    return False
-                victims.append(page)
-                if len(victims) >= count:
-                    break
-        if not victims or CRASH.active:
-            return False
-
-        clock = thread.clock
-        self.eviction_batches += 1
-        now = clock.now
-        cycles = clock.breakdown._cycles
-        n = len(victims)
-        # pick_victims: one LRU-select charge per victim.  The clock is
-        # stepped per charge (bit-exact against fractional bases); the
-        # bucket takes one bulk add (integer-valued sum, exact).
-        select = constants.LRU_VICTIM_SELECT_CYCLES
-        for _ in range(n):
-            now += select
-        cycles["evict.select"] += float(select * n)
-        # PTE teardown for every mapping of every victim (cost-free in the
-        # model) and the vpn list for the batched shootdown.
-        entries = self.page_table._entries
-        removals = 0
-        vpns: List[int] = []
-        for page in victims:
-            for vpn in page.mapped_vpns:
-                if entries.pop(vpn, None) is not None:
-                    removals += 1
-                vpns.append(vpn)
-            page.mapped_vpns.clear()
-        self.page_table.removals += removals
-        clock.now = now
-        self._shootdown(thread, vpns)
-        now = clock.now
-        # cache.remove per victim: hash remove (charge + striped atomic),
-        # page-map/LRU drop, freelist free with batched spill.
-        table = cache.table
-        tmap = table._map
-        stripes = table._stripes._lines
-        nstripes = len(stripes)
-        freelist = cache.freelist
-        pool = freelist.pool
-        core = thread.core
-        core_queue = freelist._core_queues[core]
-        threshold = freelist.core_threshold
-        hash_remove = constants.HASHTABLE_REMOVE_CYCLES
-        atomic_cost = constants.LOCK_TRANSFER_CYCLES
-        free_cost = constants.FREELIST_OP_CYCLES
-        queue_bound = atomic_cost * CacheLineTimeline.MAX_QUEUE
-        removed = 0
-        for page in victims:
-            key = page.key
-            now += hash_remove
-            line = stripes[hash(key) % nstripes]
-            line.operations += 1
-            free_at = line._free_at
-            if free_at > now:
-                bound = now + queue_bound
-                target = free_at if free_at < bound else bound
-                waited = target - now
-                cycles["idle.atomic"] += waited
-                line.total_wait_cycles += waited
-                now = target
-            line._free_at = now + atomic_cost
-            now += atomic_cost
-            if tmap.pop(key, None) is not None:
-                removed += 1
-            pages.pop(key, None)
-            pool.mark_free(page.frame)
-            now += free_cost
-            core_queue.append(page.frame)
-            if len(core_queue) > threshold:
-                clock.now = now
-                freelist._spill_to_node(clock, core)
-                now = clock.now
-        table.removes += removed
-        freelist.frees += n
-        cache.evictions += n
-        cycles["cache.hash.remove"] += float(hash_remove * n)
-        cycles["atomic.op"] += float(atomic_cost * n)
-        cycles["cache.freelist"] += float(free_cost * n)
-        cache.lru.remove_batch([page.key for page in victims])
-        clock.now = now
-        self.ff_evictions += 1
-        return True
-
     # -- miss path -------------------------------------------------------------
 
     def _read_in(
         self, thread: SimThread, vma: VMA, file: BackingFile, file_page: int
     ) -> CachePage:
         clock = thread.clock
+        cache = self.cache
         with TRACER.span("fault.alloc", clock):
             frame = self._allocate_with_eviction(thread)
         if self.ept is not None:
@@ -510,29 +391,41 @@ class AquilaEngine(MmioEngine):
             # granules make this essentially free; Section 3.5).
             self.ept.translate(frame * units.PAGE_SIZE, clock)
         with TRACER.span("fault.io", clock):
-            data = self.io_path.read(
-                clock, file.device_offset(file_page), units.PAGE_SIZE, "fault.io"
+            # The device store's page object goes into the frame as is.
+            cache.pool.install(
+                (frame,),
+                self.io_path.read_pages(clock, file.device_offset(file_page), 1, "fault.io"),
             )
-            self.cache.pool.write(frame, data)
-        page = self.cache.insert(clock, file, file_page, frame)
+        page = cache.insert(clock, file, file_page, frame)
         if page.frame != frame:
             # Lost the install race; recycle the speculative frame.
-            self.cache.freelist.free(clock, thread.core, frame)
+            cache.freelist.free(clock, thread.core, frame)
         if vma.advice == MADV_SEQUENTIAL and self.readahead_pages:
-            with TRACER.span("fault.readahead", clock):
-                self._readahead(thread, vma, file, file_page)
+            self._pinned = page.key
+            try:
+                with TRACER.span("fault.readahead", clock):
+                    self._readahead(thread, vma, file, file_page)
+            finally:
+                self._pinned = None
         return page
 
     def _readahead(
         self, thread: SimThread, vma: VMA, file: BackingFile, file_page: int
     ) -> None:
-        """madvise-driven sequential prefetch (Section 3.2)."""
+        """madvise-driven sequential prefetch (Section 3.2).
+
+        The faulting page is pinned (``_pinned``) against eviction; the
+        window ends early when nothing else is left to evict.
+        """
         clock = thread.clock
         last = min(file.size_pages, file_page + 1 + self.readahead_pages)
         for page_index in range(file_page + 1, last):
             if self.cache.get_nocost(file, page_index) is not None:
                 continue
-            frame = self._allocate_with_eviction(thread)
+            try:
+                frame = self._allocate_with_eviction(thread)
+            except OutOfMemoryError:
+                break
             offset = file.device_offset(page_index)
             try:
                 file.device.submit_async(clock, offset, units.PAGE_SIZE, is_write=False)
@@ -543,7 +436,9 @@ class AquilaEngine(MmioEngine):
                 self.cache.freelist.free(clock, thread.core, frame)
                 self.readahead_aborted += 1
                 break
-            self.cache.pool.write(frame, file.device.store.read(offset, units.PAGE_SIZE))
+            self.cache.pool.install(
+                (frame,), file.device.store.read_pages(offset >> units.PAGE_SHIFT, 1)
+            )
             self.cache.insert(clock, file, page_index, frame)
 
     # -- eviction ---------------------------------------------------------------
@@ -559,30 +454,36 @@ class AquilaEngine(MmioEngine):
         return frame
 
     def _evict_batch(self, thread: SimThread) -> None:
-        """Synchronously evict a batch of cold pages (Section 3.2)."""
+        """Synchronously evict a batch of cold pages (Section 3.2).
+
+        The one eviction protocol of the engine family, fused fault
+        replay included: pick victims, write dirty ones back in device
+        order, tear down their PTEs with one batched shootdown, then
+        ``remove_batch`` them.
+        """
         clock = thread.clock
+        cache = self.cache
         self.eviction_batches += 1
         with TRACER.span("evict", clock):
-            victims = self.cache.pick_victims(clock, self.cache.eviction_batch)
+            victims = cache.pick_victims(clock, cache.eviction_batch, self._pinned)
             if not victims:
                 raise OutOfMemoryError("cache empty but freelist dry")
 
-            dirty = sorted(
-                (v for v in victims if v.dirty), key=lambda page: page.device_offset
-            )
+            dirty = [page for page in victims if page.dirty]
             if dirty:
+                dirty.sort(key=lambda page: page.device_offset)
                 self._write_back_dirty(thread, dirty, sync=True)
             CRASH.point(f"{self.name}.evict")
 
             vpns: List[int] = []
             for page in victims:
-                for vpn in page.mapped_vpns:
-                    self.page_table.remove(vpn)
-                    vpns.append(vpn)
-                page.mapped_vpns.clear()
+                mapped = page.mapped_vpns
+                if mapped:
+                    vpns.extend(mapped)
+                    mapped.clear()
+            self.page_table.remove_many(vpns)
             self._shootdown(thread, vpns)
-            for page in victims:
-                self.cache.remove(clock, thread.core, page)
+            cache.remove_batch(clock, thread.core, victims)
 
     def _write_back_dirty(
         self, thread: SimThread, pages: List[CachePage], sync: bool
@@ -617,8 +518,7 @@ class AquilaEngine(MmioEngine):
         with TRACER.span("msync", thread.clock):
             thread.clock.charge("msync.entry", 100)
             # Merging the per-core dirty trees to build the flush set costs
-            # tree-walk cycles; charging it before the PTE downgrades also
-            # keeps every mutation behind ``sync_preamble_cycles``.
+            # tree-walk cycles, charged before the PTE downgrades.
             thread.clock.charge("msync.scan", constants.AQUILA_MSYNC_SCAN_CYCLES)
             file = mapping.vma.file
             first = mapping.vma.file_start_page

@@ -100,12 +100,6 @@ class MmioEngine:
     #: Retry policy for transient writeback faults (None = stack default).
     retry_policy: Optional[RetryPolicy] = None
 
-    #: Minimum cycles this engine charges between an operation's start and
-    #: its first cross-thread-visible interaction (the batching invariant;
-    #: see ``repro.sim.executor``).  Subclasses override with their audited
-    #: value; ``tests/conformance/test_invariant.py`` checks the bound.
-    sync_preamble_cycles: float = constants.SYSCALL_CYCLES
-
     #: Analytic fast-forward switch (see ``repro.sim.fastforward``).  When
     #: True *and* a run's gates hold (unbounded horizon, integer clock, no
     #: pending interference, vectorized plan), ``hit_run`` retires whole
@@ -738,9 +732,7 @@ class MmioEngine:
 
         Returns the number of pages dropped.  PTEs pointing at the dropped
         pages are torn down with a shootdown, as truncation does.  The
-        range-update charge up front models the truncate/unlink entry and
-        keeps the batching invariant: no cross-thread-visible mutation
-        within ``sync_preamble_cycles`` of the operation's start.
+        range-update charge up front models the truncate/unlink entry.
         """
         self._ranges_disturbed = True
         self._charge_range_update(thread)

@@ -34,14 +34,6 @@ class ExplicitIOEngine:
 
     name = "explicit-io"
 
-    #: Batching-invariant audit (see ``repro.sim.executor``): unlike the
-    #: mmio engines, explicit reads touch shared state (the sharded user
-    #: cache) behind *lock timelines*, not behind a fixed preamble charge.
-    #: Misses and writes do start with a >= 300-cycle syscall, so this
-    #: declaration is honest for them — but cache hits do not, which is
-    #: why :meth:`read_run` refuses to batch unless the thread runs solo.
-    sync_preamble_cycles = constants.SYSCALL_CYCLES
-
     #: Retry policy for transient device faults (None = stack default).
     retry_policy: Optional[RetryPolicy] = None
 

@@ -96,7 +96,8 @@ class ExtentFile(BackingFile):
         return self._device
 
     def device_offset(self, page_index: int) -> int:
-        if not 0 <= page_index < self.size_pages:
+        # ``page_index < size_pages``, without the property's rounding.
+        if page_index < 0 or page_index * units.PAGE_SIZE >= self.size_bytes:
             raise OutOfSpaceError(f"page {page_index} beyond file {self.name}")
         return self.base_offset + page_index * units.PAGE_SIZE
 

@@ -36,11 +36,6 @@ class KmmapEngine(AquilaEngine):
 
     name = "kmmap"
 
-    #: Batching-invariant audit (see ``repro.sim.executor``): kmmap runs
-    #: kernel-side, so every operation reaches shared state behind at
-    #: least a syscall entry (msync/mmap-class) or the ring 3 fault trap.
-    sync_preamble_cycles = constants.SYSCALL_CYCLES
-
     #: kmmap evicts with coarser batches than Aquila; the longer synchronous
     #: stalls are what Figure 9's tail-latency gap comes from.
     EVICTION_BATCH_MULTIPLIER = 4

@@ -48,11 +48,6 @@ class LinuxMmapEngine(MmioEngine):
 
     name = "linux-mmap"
 
-    #: Batching-invariant audit (see ``repro.sim.executor``): every Linux
-    #: operation reaches shared state behind at least a syscall entry
-    #: (msync, mmap-class updates) or the 1287-cycle fault trap.
-    sync_preamble_cycles = constants.SYSCALL_CYCLES
-
     def __init__(
         self,
         machine: Machine,

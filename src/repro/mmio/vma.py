@@ -9,21 +9,20 @@ per-fault validity lookups are the common path (paper Section 3.4).
   writing.  "Other work has shown that this lock can limit scalability in
   servers with a large number of cores, even in cases where it is acquired
   as a read lock."
-* :class:`AquilaVMAStore` keeps a RadixVM-style radix tree with per-entry
-  locks: lookups touch only the faulting entry's stripe; updates lock only
-  the affected entries.  Reference counting uses a single shared count,
-  off the common path (Section 3.4).
+* :class:`AquilaVMAStore` keeps RadixVM-style per-page entries with
+  per-entry locks: lookups touch only the faulting entry's stripe; updates
+  lock only the affected entries.  Reference counting uses a single shared
+  count, off the common path (Section 3.4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common import constants, units
 from repro.common.errors import SegmentationFault
-from repro.mem.radix import RadixTree
 from repro.mem.rbtree import RBTree
 from repro.mmio.files import BackingFile
 from repro.sim.clock import CycleClock
@@ -152,36 +151,32 @@ class LinuxVMAStore(VMAStore):
 
 
 class AquilaVMAStore(VMAStore):
-    """RadixVM-style radix tree with per-entry locking."""
+    """RadixVM-style per-page VMA index with per-entry locking."""
 
     def __init__(self, stripes: int = 1024) -> None:
         super().__init__()
-        self._radix = RadixTree()
-        # Flat dict mirror of the radix entries.  The radix tree is the
-        # modeled structure (its walk order backs the charge model); the
-        # mirror exists so the fast-forward replay can resolve the same
-        # vpn -> VMA entry in one probe.  Both are updated only here, so
-        # they cannot diverge.
-        self._flat = {}
+        # One entry per mapped page, as RadixVM's radix leaves hold: a
+        # lookup resolves the faulting vpn in one probe.  The charge model
+        # (a fixed lookup cost plus the entry's lock line) is the radix
+        # walk's; the container is just the fastest exact index.
+        self._entries: Dict[int, VMA] = {}
         self._entry_locks = StripedAtomicTimeline(stripes, "vma.radix")
         # Single shared refcount, off the common path (Section 3.4).
         self.refcount = 0
 
     def insert(self, clock: CycleClock, vma: VMA) -> None:
-        # Range update: populate one radix entry per page; per-entry locks
-        # mean no global serialization.  Cost amortized per page.
+        # Range update: populate one entry per page; per-entry locks mean
+        # no global serialization.  Cost amortized per page.
         clock.charge("vma.update", constants.AQUILA_VMA_LOOKUP_CYCLES)
-        for vpn in range(vma.start_vpn, vma.end_vpn):
-            self._radix.insert(vpn, vma)
-            self._flat[vpn] = vma
+        self._entries.update(dict.fromkeys(range(vma.start_vpn, vma.end_vpn), vma))
         clock.charge("vma.update", 5 * vma.num_pages)
         self.refcount += 1
 
     def remove(self, clock: CycleClock, vma: VMA) -> None:
         clock.charge("vma.update", constants.AQUILA_VMA_LOOKUP_CYCLES)
+        entries = self._entries
         for vpn in range(vma.start_vpn, vma.end_vpn):
-            self._radix.remove(vpn)
-            self._flat.pop(vpn, None)
+            entries.pop(vpn, None)
         clock.charge("vma.update", 5 * vma.num_pages)
         self.refcount -= 1
 
@@ -190,4 +185,4 @@ class AquilaVMAStore(VMAStore):
         self.lookups += 1
         clock.charge("fault.vma_lookup", constants.AQUILA_VMA_LOOKUP_CYCLES)
         self._entry_locks.atomic_op(clock, vpn, cost=0.0)
-        return self._radix.get(vpn)
+        return self._entries.get(vpn)

@@ -41,8 +41,7 @@ from repro.sim.executor import SimThread
 
 #: Counters that report on the batching/fast-forward machinery itself
 #: (how many runs, how many ops retired inside runs, how many analytic
-#: windows / fused faults / fused evictions engaged) plus the
-#: ``fastforward`` mode switch.  They are mode *metadata*, not simulation
+#: windows / fused faults engaged) plus the ``fastforward`` mode switch.  They are mode *metadata*, not simulation
 #: outcomes, and are the only state allowed to differ between modes.
 MODE_COUNTERS = frozenset(
     {
@@ -51,7 +50,6 @@ MODE_COUNTERS = frozenset(
         "ff_runs",
         "ff_hits",
         "ff_faults",
-        "ff_evictions",
         "fastforward",
     }
 )

@@ -68,21 +68,6 @@ from repro.sim.stats import LatencyRecorder
 #: reach past the heap top whatever its value (module docstring).
 SYNC_HORIZON_CYCLES = 120.0
 
-#: Upper bound on how far past its start a pure-hit operation interacts
-#: with shared state: SMT-scaled load/store (6) + TLB miss walk (100),
-#: with a 1.5x CPI safety factor over the modeled 1.4 maximum.  An audit
-#: figure from the bounded run-ahead design; no scheduling decision uses
-#: it any more.
-HIT_INTERACTION_BOUND_CYCLES = 1.5 * (6 + 100)
-
-#: Minimum charges any engine pays between an operation's start and its
-#: first cross-thread-visible interaction (trap/syscall/msync preambles).
-#: Each engine declares its own ``sync_preamble_cycles`` >= this.  Like
-#: ``HIT_INTERACTION_BOUND_CYCLES``, an audit figure only.
-MIN_SYNC_PREAMBLE_CYCLES = 300.0
-
-assert SYNC_HORIZON_CYCLES + HIT_INTERACTION_BOUND_CYCLES < MIN_SYNC_PREAMBLE_CYCLES
-
 
 class SimThread:
     """One simulated software thread pinned to a hardware thread.

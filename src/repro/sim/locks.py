@@ -244,13 +244,18 @@ class CacheLineTimeline:
         """
         self.operations += 1
         reservation = reserve if reserve is not None else cost
-        # An atomic op's queueing delay is physically bounded by the line
-        # bouncing through every other core once; this also keeps the
-        # executor's op-granularity reordering from fabricating stalls.
-        bound = clock.now + reservation * self.MAX_QUEUE
-        waited = clock.wait_until(min(self._free_at, bound), wait_category)
-        self.total_wait_cycles += waited
         start = clock.now
+        free_at = self._free_at
+        if free_at > start:
+            # An atomic op's queueing delay is physically bounded by the
+            # line bouncing through every other core once; this also keeps
+            # the executor's op-granularity reordering from fabricating
+            # stalls.
+            bound = start + reservation * self.MAX_QUEUE
+            self.total_wait_cycles += clock.wait_until(
+                free_at if free_at < bound else bound, wait_category
+            )
+            start = clock.now
         clock.charge("atomic.op", cost)
         self._free_at = start + reservation
 

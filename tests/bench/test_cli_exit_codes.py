@@ -144,10 +144,9 @@ def test_report_without_manifest_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_report_check_cycle(tmp_path, capsys):
-    manifest = tmp_path / "m.jsonl"
+def test_report_check_cycle(bench_manifest, tmp_path, capsys):
+    manifest = bench_manifest
     doc = tmp_path / "EXPERIMENTS.md"
-    run_sweep(scale="bench", manifest_path=str(manifest))
     assert _main(
         ["report", "--manifest", str(manifest), "--output", str(doc)]
     ) == 0

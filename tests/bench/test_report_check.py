@@ -9,20 +9,15 @@ from repro.bench.report import (
     generate_experiments_md,
     write_experiments_md,
 )
-from repro.bench.sweep import run_sweep
-
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 COMMITTED_DOC = os.path.join(REPO, "EXPERIMENTS.md")
 COMMITTED_MANIFEST = os.path.join(REPO, "benchmarks", "MANIFEST_sweep.jsonl")
 
 
-@pytest.fixture(scope="module")
-def manifest(tmp_path_factory):
-    """A complete bench-scale manifest (every figure, shrunk grids)."""
-    path = tmp_path_factory.mktemp("report") / "manifest.jsonl"
-    result = run_sweep(scale="bench", manifest_path=str(path))
-    assert result.ok
-    return str(path)
+@pytest.fixture
+def manifest(bench_manifest):
+    """The session's bench-scale manifest (``tests/bench/conftest.py``)."""
+    return bench_manifest
 
 
 def test_generation_is_deterministic(manifest):

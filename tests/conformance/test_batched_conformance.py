@@ -126,6 +126,24 @@ class TestCleanConformance:
         assert digest["engine"]["faults"] == 15205
         assert digest["engine"]["eviction_batches"] == 445
 
+    def test_kmmap_out_of_memory(self):
+        # kmmap's canonical miss path (batch eviction, zero-copy fills) in
+        # the mmap-miss regime: 16 threads, uniform reads of a file 12.5x
+        # the cache, so nearly every access faults and evicts.
+        digest = assert_fastforward_agrees(
+            _mmio,
+            engine_kind="kmmap",
+            seed=9,
+            num_threads=16,
+            accesses_per_thread=256,
+            cache_pages=256,
+            dataset_pages=3200,
+            write_fraction=0.0,
+            touch_once=False,
+        )
+        assert digest["engine"]["eviction_batches"] > 20
+        assert digest["engine"]["major_faults"] > 3000
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_explicit_solo(self, seed):
         assert_modes_agree(run_explicit_cell, seed=seed)
@@ -264,6 +282,41 @@ class TestLinuxReadaheadConformance:
             assert charged == pytest.approx(breakdown.get(category), rel=1e-12)
 
 
+class TestKmmapTracing:
+    """Tracing observes kmmap's miss path without changing it."""
+
+    def test_traced_run_has_the_untraced_digest(self):
+        from repro.obs import TRACER
+
+        cell = dict(
+            seed=4, num_threads=8, accesses_per_thread=200, cache_pages=64,
+            dataset_pages=800, write_fraction=0.25, touch_once=False,
+        )
+        plain = _mmio("kmmap", True, **cell)
+        with TRACER.isolated(enable=True, capacity=1 << 18):
+            traced = _mmio("kmmap", True, **cell)
+            spans = TRACER.finished_spans()
+            assert TRACER.dropped == 0
+        assert diff_digests(plain, traced) == []
+        assert plain["engine"]["eviction_batches"] > 0
+        # Eviction charges land on the evict span, fill waits on fault.io.
+        breakdown = {}
+        for thread in plain["threads"]:
+            for category, cycles in thread["breakdown"].items():
+                breakdown[category] = breakdown.get(category, 0.0) + cycles
+        owners = {
+            "evict.select": "evict",
+            "cache.hash.remove": "evict",
+            "idle.fault.io.device": "fault.io",
+        }
+        for category, owner in owners.items():
+            charged = sum(
+                span.charges.get(category, 0.0) for span in spans if span.name == owner
+            )
+            assert breakdown[category] > 0
+            assert charged == pytest.approx(breakdown[category], rel=1e-12)
+
+
 class TestBatchingEngages:
     """The fast path must actually fire — a vacuous conformance pass
     (batched mode never batching) would prove nothing."""
@@ -298,7 +351,6 @@ class TestBatchingEngages:
             "ff_runs",
             "ff_hits",
             "ff_faults",
-            "ff_evictions",
             "fastforward",
         }
 

@@ -281,13 +281,15 @@ class TestFastforwardEngages:
             accesses_per_thread=400,
         )
         assert engine.ff_faults > 0, "fused fault replay never engaged"
-        assert engine.ff_evictions > 0, "fused eviction replay never engaged"
+        # Read-only plan: every fault is a fused replay, so every eviction
+        # batch ran from inside one (through the shared ``_evict_batch``).
+        assert engine.ff_faults == engine.faults
+        assert engine.eviction_batches > 0, "no eviction under fast-forward"
 
     def test_mode_counters_stay_out_of_the_digest(self):
         digest = run_cell(
             "aquila", True, seed=11, accesses_per_thread=900,
             dataset_pages=160, fastforward=True,
         )
-        for counter in ("ff_runs", "ff_hits", "ff_faults", "ff_evictions",
-                        "fastforward"):
+        for counter in ("ff_runs", "ff_hits", "ff_faults", "fastforward"):
             assert counter not in digest["engine"]

@@ -1,80 +1,13 @@
-"""Audit of the batching invariant's arithmetic and the executor's horizon
-(DESIGN.md §8).
+"""The batched executor's horizon (DESIGN.md §8).
 
-A pure-hit operation finishes every shared-state interaction within
-``HIT_INTERACTION_BOUND_CYCLES`` of its start, while every
-cross-thread-visible mutation sits behind at least
-``MIN_SYNC_PREAMBLE_CYCLES`` of charges from *its* operation's start.
-These tests pin those audited figures and each engine's declared
-preamble floor.  The executor no longer relies on them: hit runs stop at
-the heap top's key, because the unbatched reference applies an
-operation's mutations atomically at its start (the horizon tests below).
+Hit runs stop at the heap top's key, because the unbatched reference
+applies an operation's mutations atomically at its start; these tests
+pin the published horizons and the min-run continuation.
 """
 
 import math
 
-from repro.common import constants
-from repro.hw.machine import Machine
-from repro.mmio.aquila import AquilaEngine
-from repro.mmio.engine import MmioEngine
-from repro.mmio.explicit import ExplicitIOEngine
-from repro.mmio.kmmap import KmmapEngine
-from repro.mmio.linux_mmap import LinuxMmapEngine
-from repro.sim.executor import (
-    HIT_INTERACTION_BOUND_CYCLES,
-    MIN_SYNC_PREAMBLE_CYCLES,
-    SYNC_HORIZON_CYCLES,
-    Executor,
-    SimThread,
-)
-
-ENGINE_CLASSES = [MmioEngine, LinuxMmapEngine, AquilaEngine, KmmapEngine,
-                  ExplicitIOEngine]
-
-
-class TestExecutorInequality:
-    def test_run_ahead_fits_under_the_preamble_floor(self):
-        assert (
-            SYNC_HORIZON_CYCLES + HIT_INTERACTION_BOUND_CYCLES
-            < MIN_SYNC_PREAMBLE_CYCLES
-        )
-
-    def test_hit_interaction_bound_covers_the_hit_path(self):
-        # A hit op's interactions: the load/store itself plus a possible
-        # TLB walk, under the worst modeled CPI factor (SMT, 1.4).
-        worst_hit = 1.4 * (
-            constants.LOAD_STORE_HIT_CYCLES + constants.TLB_MISS_WALK_CYCLES
-        )
-        assert worst_hit <= HIT_INTERACTION_BOUND_CYCLES
-
-    def test_preamble_floor_is_the_cheapest_kernel_entry(self):
-        # No engine reaches shared state for less than a syscall.
-        assert MIN_SYNC_PREAMBLE_CYCLES <= constants.SYSCALL_CYCLES
-        assert MIN_SYNC_PREAMBLE_CYCLES <= constants.TRAP_AQUILA_CYCLES
-        assert MIN_SYNC_PREAMBLE_CYCLES <= constants.TRAP_RING3_CYCLES
-        assert MIN_SYNC_PREAMBLE_CYCLES <= constants.VMCALL_CYCLES
-
-
-class TestEnginePreambleDeclarations:
-    def test_every_engine_declares_a_preamble_floor(self):
-        for cls in ENGINE_CLASSES:
-            assert hasattr(cls, "sync_preamble_cycles"), cls.__name__
-
-    def test_every_declared_floor_meets_the_executor_requirement(self):
-        for cls in ENGINE_CLASSES:
-            assert cls.sync_preamble_cycles >= MIN_SYNC_PREAMBLE_CYCLES, (
-                f"{cls.__name__} declares sync_preamble_cycles="
-                f"{cls.sync_preamble_cycles} < {MIN_SYNC_PREAMBLE_CYCLES}: "
-                "run-ahead batching would no longer be bit-exact"
-            )
-
-    def test_aquila_msync_floor_matches_its_charges(self):
-        # Aquila's msync entry (100) alone is below the floor; the dirty
-        # tree scan charge is what lifts it over.  Keep them in sync.
-        assert AquilaEngine.sync_preamble_cycles == (
-            100 + constants.AQUILA_MSYNC_SCAN_CYCLES
-        )
-        assert AquilaEngine.sync_preamble_cycles >= MIN_SYNC_PREAMBLE_CYCLES
+from repro.sim.executor import SYNC_HORIZON_CYCLES, Executor, SimThread
 
 
 class TestExecutorBatchedMode:

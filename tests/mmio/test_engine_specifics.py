@@ -77,6 +77,46 @@ class TestAquilaSpecifics:
         mapping.load(thread, 0, 1)
         assert stack.engine.cache.resident_pages() == 9
 
+    @pytest.mark.parametrize(
+        "cache_pages, eviction_batch, readahead_pages",
+        [(64, 8, 60), (64, 8, 64), (256, 32, 300)],
+    )
+    def test_readahead_never_evicts_its_faulting_page(
+        self, cache_pages, eviction_batch, readahead_pages
+    ):
+        """A window near the cache size must not recycle the frame the
+        fault is about to map: every load returns its own page's bytes."""
+        from repro.devices.io_engines import DaxIO
+        from repro.devices.pmem import PmemDevice
+        from repro.hw.machine import Machine
+        from repro.mmio.aquila import AquilaEngine
+        from repro.mmio.files import ExtentAllocator
+
+        device = PmemDevice(capacity_bytes=64 * units.MIB)
+        engine = AquilaEngine(
+            Machine(),
+            cache_pages=cache_pages,
+            io_path=DaxIO(device),
+            eviction_batch=eviction_batch,
+            readahead_pages=readahead_pages,
+        )
+        file = ExtentAllocator(device).create("seq", 2048 * units.PAGE_SIZE)
+        for page in range(2048):
+            device.store.write_page(
+                file.device_offset(page) >> units.PAGE_SHIFT,
+                bytes([page % 251]) * units.PAGE_SIZE,
+            )
+        thread = SimThread(core=0)
+        mapping = engine.mmap(thread, file)
+        mapping.madvise(thread, MADV_SEQUENTIAL)
+        wrong = [
+            page
+            for page in range(0, 2048, 97)
+            if mapping.load(thread, page * units.PAGE_SIZE, 1) != bytes([page % 251])
+        ]
+        assert wrong == []
+        assert engine.eviction_batches > 0
+
     def test_batched_eviction(self):
         stack = make_aquila_stack("pmem", cache_pages=64)
         _, thread, mapping = _map(stack, pages=256)
