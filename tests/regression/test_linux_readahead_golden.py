@@ -11,7 +11,12 @@ inserts.  This tier pins two small runs that do, bit for bit:
   cache, with writes, so direct reclaim (with writeback of dirty
   victims) runs in the middle of readahead windows;
 * the same walk on SMT sibling cores (CPI 1.4), where fractional
-  charges make the clock depend on the order they are made in.
+  charges make the clock depend on the order they are made in;
+* the same walk under a seeded transient-fault plan, so blocking fills
+  retry and failed readahead submissions drop the pages they hold;
+* an ``mmap-miss``-shaped run: 16 threads reading uniformly through
+  ``MADV_RANDOM`` over a pmem file 12.5x the cache, so direct reclaim
+  runs every ~32 faults.
 
 Each pin holds the full state digest, every engine, cache, device and
 tree-lock counter, and the merged per-category cycle breakdown.  The
@@ -28,11 +33,13 @@ import pytest
 
 from repro.bench.setups import make_linux_stack, make_rocksdb
 from repro.common import units
+from repro.fault.plan import FaultPlan, FaultSpec, plan_installed
 from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_NORMAL
 from repro.sim.conformance import _numeric_state, hash_digest, mmio_state_digest
 from repro.sim.executor import Executor, RunResult, SimThread
 from repro.sim.rand import derive_seed
+from repro.workloads.microbench import MicrobenchConfig, run_microbench
 from repro.workloads.ycsb import YCSBConfig, YCSBDriver
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "linux_readahead_golden.json")
@@ -66,9 +73,9 @@ def _counters(stack) -> dict:
     }
 
 
-def _pin(stack, threads, extra=None) -> dict:
+def _pin(stack, threads, extra=None, plan=None) -> dict:
     result = RunResult(threads)
-    state = mmio_state_digest(stack, result)
+    state = mmio_state_digest(stack, result, plan)
     if extra:
         state.update(extra)
     return {
@@ -111,11 +118,13 @@ def run_kv_ycsb_a() -> dict:
     )
 
 
-def run_normal_walk(cores=(0, 1, 2, 3)) -> dict:
+def run_normal_walk(cores=(0, 1, 2, 3), plan=None) -> dict:
     """Four threads, 200 accesses each (25% 8-byte stores) over 256 pages
-    mapped ``MADV_NORMAL`` through a 64-page cache on NVMe."""
+    mapped ``MADV_NORMAL`` through a 64-page cache on NVMe.  A fault
+    ``plan``, if given, is armed on the device."""
     _reset_ids()
-    stack = make_linux_stack("nvme", cache_pages=64, capacity_bytes=1 << 26)
+    with plan_installed(plan):
+        stack = make_linux_stack("nvme", cache_pages=64, capacity_bytes=1 << 26)
     engine = stack.engine
     file = stack.allocator.create("walk", 256 * units.PAGE_SIZE)
 
@@ -139,7 +148,7 @@ def run_normal_walk(cores=(0, 1, 2, 3)) -> dict:
         executor.add(thread, walk(thread, mapping))
     stack.machine.apply_smt_penalty(threads)
     executor.run()
-    return _pin(stack, threads)
+    return _pin(stack, threads, plan=plan)
 
 
 def run_normal_walk_smt() -> dict:
@@ -148,9 +157,32 @@ def run_normal_walk_smt() -> dict:
     return run_normal_walk(cores=(0, 16, 1, 17))
 
 
+def run_normal_walk_faulty() -> dict:
+    """The walk on six cores with 10% of device commands failing
+    transiently (and 2% slowed): blocking fills retry with backoff, and
+    readahead submissions that fail drop their pages."""
+    plan = FaultPlan(8, FaultSpec(error_rate=0.1, latency_rate=0.02))
+    return run_normal_walk(cores=(0, 1, 2, 3, 4, 5), plan=plan)
+
+
+def run_mmap_miss() -> dict:
+    """16 threads, 64 uniform ``MADV_RANDOM`` reads each, over a pmem
+    file 12.5x a 64-page cache, batched with fast-forward on."""
+    _reset_ids()
+    stack = make_linux_stack("pmem", cache_pages=64, capacity_bytes=1 << 26)
+    file = stack.allocator.create("shared", 64 * 100 // 8 * units.PAGE_SIZE)
+    config = MicrobenchConfig(
+        num_threads=16, accesses_per_thread=64, touch_once=False, seed=7
+    )
+    result = run_microbench(stack.engine, file, config)
+    return _pin(stack, result.threads)
+
+
 RUNS = {
     "kv_ycsb_a": run_kv_ycsb_a,
+    "mmap_miss": run_mmap_miss,
     "normal_walk": run_normal_walk,
+    "normal_walk_faulty": run_normal_walk_faulty,
     "normal_walk_smt": run_normal_walk_smt,
 }
 
@@ -182,6 +214,20 @@ def test_walk_reclaims_mid_window():
     assert pinned["engine"]["reclaim_runs"] > 0
     # Windows fill many pages per major fault, so reclaim runs mid-window.
     assert pinned["cache"]["evictions"] > 4 * pinned["engine"]["major_faults"]
+
+
+def test_faulty_walk_retries_fills_and_aborts_readahead():
+    """The faulty walk must take both failure paths of a fill."""
+    pinned = _golden()["normal_walk_faulty"]
+    assert pinned["breakdown"].get("fault.io.retry_backoff", 0) > 0
+    assert pinned["counters"]["engine"]["readahead_aborted"] > 0
+
+
+def test_mmap_miss_reclaims_every_few_dozen_faults():
+    """The mmap-miss run faults nearly every access and reclaims often."""
+    engine = _golden()["mmap_miss"]["counters"]["engine"]
+    assert engine["major_faults"] > 900
+    assert engine["major_faults"] // 40 < engine["reclaim_runs"]
 
 
 if __name__ == "__main__":
