@@ -147,16 +147,14 @@ class AquilaCache:
 
     # -- eviction -------------------------------------------------------------
 
-    def pick_victims(
-        self, clock: CycleClock, count: int, pinned: Optional[Tuple[int, int]] = None
-    ) -> List[CachePage]:
+    def pick_victims(self, clock: CycleClock, count: int) -> List[CachePage]:
         """Choose up to ``count`` cold pages (approximate LRU order).
 
         With a QoS ``partition`` installed, candidates are reordered so
         over-quota tenants' pages come first (still LRU order within each
         preference class); the per-victim selection charge is unchanged.
-        The page keyed ``pinned`` (a fault's own page while its readahead
-        allocates) is never chosen.
+        A locked page (a fault's own page while its readahead allocates)
+        is never chosen.
         """
         keys = self.lru.cold_to_hot()
         if self.partition is not None:
@@ -166,7 +164,7 @@ class AquilaCache:
         victims: List[CachePage] = []
         for key in keys:
             page = pages.get(key)
-            if page is not None and key != pinned:
+            if page is not None and not page.locked:
                 victims.append(page)
                 charge("evict.select", constants.LRU_VICTIM_SELECT_CYCLES)
                 if len(victims) >= count:

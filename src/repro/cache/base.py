@@ -16,10 +16,14 @@ class CachePage:
     ``mapped_vpns`` is the full reverse mapping (which virtual pages point
     at this frame) — FastMap-style, so eviction can tear down exactly the
     affected PTEs (paper Section 7.2).  ``owner_core`` records which
-    per-core dirty tree holds the page while dirty.
+    per-core dirty tree holds the page while dirty.  ``locked`` is the
+    kernel's PG_locked: set while a fault is still filling the page or
+    reading ahead around it, and eviction never picks a locked page.
     """
 
-    __slots__ = ("file", "file_page", "key", "frame", "dirty", "mapped_vpns", "owner_core")
+    __slots__ = (
+        "file", "file_page", "key", "frame", "dirty", "mapped_vpns", "owner_core", "locked"
+    )
 
     def __init__(self, file: "BackingFile", file_page: int, frame: int) -> None:
         self.file = file
@@ -31,6 +35,7 @@ class CachePage:
         self.dirty = False
         self.mapped_vpns: Set[int] = set()
         self.owner_core: Optional[int] = None
+        self.locked = False
 
     @property
     def device_offset(self) -> int:

@@ -3,7 +3,7 @@
 Structure follows the kernel (and the paper's profiling findings,
 Section 6.5):
 
-* per-file (per-inode) radix tree of cached pages, each guarded by a
+* per-file (per-inode) page-cache tree of cached pages, each guarded by a
   **single spinlock** ("a single lock protects the radix tree of cached
   pages, and, as a result, is highly contended");
 * the same lock is needed to mark a page dirty ("this lock is also
@@ -12,8 +12,11 @@ Section 6.5):
   sets), reclaimed in the faulting thread's context (direct reclaim) when
   full.
 
-Frames come from a simple free stack — the buddy allocator is not a
-contention point at the paper's thread counts, the tree lock is.
+The tree's contents are the resident map ``_pages`` keyed by (file id,
+file page): the lookup, insert and removal charges are fixed constants
+that do not depend on the tree's shape, so only its lock is modeled per
+inode.  Frames come from a simple free stack — the buddy allocator is not
+a contention point at the paper's thread counts, the tree lock is.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.common import constants
 from repro.mem.frames import FramePool
 from repro.mem.lru import ApproxLRU
-from repro.mem.radix import RadixTree
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:   # break the cache <-> mmio import cycle
@@ -36,15 +38,16 @@ from repro.sim.locks import SpinlockTimeline
 
 
 class _FileCache:
-    """Per-inode radix tree + its tree_lock."""
+    """Per-inode page-cache state: the tree_lock."""
+
+    __slots__ = ("tree_lock",)
 
     def __init__(self, file_id: int) -> None:
-        self.tree = RadixTree()
         self.tree_lock = SpinlockTimeline(f"tree_lock[{file_id}]")
 
 
 class KernelPageCache:
-    """System-wide page cache with per-inode trees and a global LRU."""
+    """System-wide page cache with per-inode tree locks and a global LRU."""
 
     def __init__(self, capacity_pages: int) -> None:
         if capacity_pages <= 0:
@@ -78,16 +81,17 @@ class KernelPageCache:
             },
         )
 
-    def _file_cache(self, file: "BackingFile") -> _FileCache:
+    def tree_lock_of(self, file: "BackingFile") -> SpinlockTimeline:
+        """The per-inode tree lock.
+
+        Callers resolve it once per operation and pass it to
+        :meth:`lookup` and :meth:`insert_run`.
+        """
         cache = self._files.get(file.file_id)
         if cache is None:
             cache = _FileCache(file.file_id)
             self._files[file.file_id] = cache
-        return cache
-
-    def tree_lock_of(self, file: "BackingFile") -> SpinlockTimeline:
-        """The per-inode tree lock (exposed for profiling in benchmarks)."""
-        return self._file_cache(file).tree_lock
+        return cache.tree_lock
 
     def resident_pages(self) -> int:
         """Pages currently cached."""
@@ -100,48 +104,23 @@ class KernelPageCache:
     # -- lookup / insert, under the tree lock --------------------------------
 
     def lookup(
-        self, clock: CycleClock, thread_id: int, file: "BackingFile", file_page: int
+        self,
+        clock: CycleClock,
+        thread_id: int,
+        tree_lock: SpinlockTimeline,
+        file: "BackingFile",
+        file_page: int,
     ) -> Optional[CachePage]:
-        """Radix-tree lookup under the inode's tree lock."""
-        cache = self._file_cache(file)
-        cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+        """Page-cache lookup under the inode's ``tree_lock``."""
+        tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
         clock.charge("fault.pcache_lookup", constants.LINUX_PCACHE_LOOKUP_CYCLES)
-        page = cache.tree.get(file_page)
-        cache.tree_lock.release(clock, thread_id)
+        page = self._pages.get((file.file_id, file_page))
+        tree_lock.release(clock, thread_id)
         if page is not None:
             self.hits += 1
             self.lru.touch(page.key)
         else:
             self.misses += 1
-        return page
-
-    def allocate_frame(self, clock: CycleClock) -> Optional[int]:
-        """Take a free frame; None means the caller must reclaim first."""
-        clock.charge("fault.page_alloc", constants.LINUX_PAGE_ALLOC_CYCLES)
-        if not self._free:
-            return None
-        frame = self._free.pop()
-        self.pool.mark_allocated(frame)
-        return frame
-
-    def insert(
-        self,
-        clock: CycleClock,
-        thread_id: int,
-        file: "BackingFile",
-        file_page: int,
-        frame: int,
-    ) -> CachePage:
-        """Install a freshly read page into the tree (under the lock)."""
-        cache = self._file_cache(file)
-        cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
-        clock.charge("fault.pcache_insert", constants.LINUX_PCACHE_INSERT_CYCLES)
-        page = CachePage(file, file_page, frame)
-        cache.tree.insert(file_page, page)
-        cache.tree_lock.release(clock, thread_id)
-        self._pages[page.key] = page
-        self.lru.touch(page.key)
-        clock.charge("fault.lru", constants.LINUX_LRU_UPDATE_CYCLES)
         return page
 
     def absent_pages(self, file: "BackingFile", start: int, end: int) -> List[int]:
@@ -154,26 +133,23 @@ class KernelPageCache:
         self,
         clock: CycleClock,
         thread_id: int,
+        tree_lock: SpinlockTimeline,
         file: "BackingFile",
         file_pages: List[int],
-    ) -> List[int]:
+    ) -> List[CachePage]:
         """Allocate a frame for each of ``file_pages`` and insert it, in order.
 
-        Charge for charge the same as :meth:`allocate_frame` then
-        :meth:`insert` per page: ``fault.page_alloc``,
-        ``fault.pcache_insert`` and ``fault.lru`` in that order, one tree
-        lock acquisition each.  Only the first acquisition can wait:
-        executor operations are atomic, so once this thread has released
-        the lock no other thread takes it before the run ends.
+        Per page: ``fault.page_alloc``, then ``fault.pcache_insert`` under
+        ``tree_lock`` (the inode's), then ``fault.lru``, with one tree lock
+        acquisition each.  Only the first acquisition can wait: executor
+        operations are atomic, so once this thread has released the lock
+        no other thread takes it before the run ends.
 
         Stops at the first page the free list cannot serve, with its
-        ``fault.page_alloc`` charged as a failed :meth:`allocate_frame`
-        charges it, so the caller can reclaim and go on from that page.
-        Returns the frames of the pages inserted, in order.
+        ``fault.page_alloc`` charged, so the caller can reclaim and go on
+        from that page.  Returns the pages inserted, in order, locked
+        (PG_locked): the caller unlocks each once its data is in.
         """
-        cache = self._file_cache(file)
-        lock = cache.tree_lock
-        tree_insert = cache.tree.insert
         charge = clock.charge
         free = self._free
         resident = self._pages
@@ -181,37 +157,36 @@ class KernelPageCache:
         alloc_cycles = constants.LINUX_PAGE_ALLOC_CYCLES
         insert_cycles = constants.LINUX_PCACHE_INSERT_CYCLES
         lru_cycles = constants.LINUX_LRU_UPDATE_CYCLES
-        frames: List[int] = []
+        pages: List[CachePage] = []
         for file_page in file_pages:
             charge("fault.page_alloc", alloc_cycles)
             if not free:
                 break
-            frame = free.pop()
-            if not frames:
-                lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+            page = CachePage(file, file_page, free.pop())
+            page.locked = True
+            if not pages:
+                tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
             charge("fault.pcache_insert", insert_cycles)
-            page = CachePage(file, file_page, frame)
-            tree_insert(file_page, page)
-            if not frames:
-                lock.release(clock, thread_id)
+            if not pages:
+                tree_lock.release(clock, thread_id)
             released_at = clock.now
             resident[page.key] = page
             # A non-resident key is never on the LRU: it joins the hot end.
             order[page.key] = None
             charge("fault.lru", lru_cycles)
-            frames.append(frame)
-        if len(frames) > 1:
-            lock.reacquired_uncontended(len(frames) - 1, released_at)
-        self.pool.claim(frames)
-        return frames
+            pages.append(page)
+        if len(pages) > 1:
+            tree_lock.reacquired_uncontended(len(pages) - 1, released_at)
+        self.pool.claim([page.frame for page in pages])
+        return pages
 
     def mark_dirty(self, clock: CycleClock, thread_id: int, page: CachePage) -> None:
         """Mark dirty — requires the tree lock (the Fig 10 write bottleneck)."""
-        cache = self._file_cache(page.file)
-        cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+        tree_lock = self.tree_lock_of(page.file)
+        tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
         clock.charge("fault.mark_dirty", constants.LINUX_TREE_LOCK_HOLD_CYCLES)
         page.dirty = True
-        cache.tree_lock.release(clock, thread_id)
+        tree_lock.release(clock, thread_id)
 
     def pick_victims(self, count: int) -> List[CachePage]:
         """Choose up to ``count`` cold pages for reclaim (LRU order).
@@ -230,12 +205,11 @@ class KernelPageCache:
 
     def remove(self, clock: CycleClock, thread_id: int, page: CachePage) -> None:
         """Drop a page from the tree and return its frame to the free pool."""
-        cache = self._file_cache(page.file)
-        cache.tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
+        tree_lock = self.tree_lock_of(page.file)
+        tree_lock.acquire(clock, thread_id, "idle.lock.tree_lock")
         clock.charge("reclaim.remove", constants.LINUX_TREE_LOCK_HOLD_CYCLES)
-        cache.tree.remove(page.file_page)
-        cache.tree_lock.release(clock, thread_id)
         self._pages.pop(page.key, None)
+        tree_lock.release(clock, thread_id)
         self.lru.remove(page.key)
         self.pool.mark_free(page.frame)
         self._free.append(page.frame)
@@ -249,7 +223,7 @@ class KernelPageCache:
         Mirrors ``shrink_page_list``: reclaim processes victims grouped by
         mapping, *trylocks* each tree lock, and skips busy mappings rather
         than queueing behind their faulting threads.  Each removed page
-        leaves the tree, the resident map and the LRU in one loop; its
+        leaves the tree (the resident map) and the LRU in one loop; its
         frame is scrubbed and pushed on the free list in victim order.
         Returns the pages actually removed.
         """
@@ -267,10 +241,8 @@ class KernelPageCache:
                 "reclaim.remove",
                 constants.LINUX_TREE_LOCK_HOLD_CYCLES + 60 * (len(group) - 1),
             )
-            tree_remove = cache.tree.remove
             frames = []
             for page in group:
-                tree_remove(page.file_page)
                 resident.pop(page.key, None)
                 order.pop(page.key, None)
                 frames.append(page.frame)

@@ -4,7 +4,6 @@ from repro.mem.frames import FramePool
 from repro.mem.freelist import TwoLevelFreelist
 from repro.mem.hashtable import LockFreeHashTable
 from repro.mem.lru import ApproxLRU
-from repro.mem.radix import RadixTree
 from repro.mem.rbtree import RBTree
 
 __all__ = [
@@ -12,6 +11,5 @@ __all__ = [
     "TwoLevelFreelist",
     "LockFreeHashTable",
     "ApproxLRU",
-    "RadixTree",
     "RBTree",
 ]

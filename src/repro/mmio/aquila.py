@@ -105,9 +105,6 @@ class AquilaEngine(MmioEngine):
         self.eviction_batches = 0
         self.readahead_aborted = 0
         self.ff_faults = 0      # faults replayed by the fused fast path
-        # Key of the page whose fault is reading ahead: eviction skips it,
-        # so a readahead window never evicts the page it was started for.
-        self._pinned = None
 
     # -- engine plumbing ------------------------------------------------------
 
@@ -401,12 +398,14 @@ class AquilaEngine(MmioEngine):
             # Lost the install race; recycle the speculative frame.
             cache.freelist.free(clock, thread.core, frame)
         if vma.advice == MADV_SEQUENTIAL and self.readahead_pages:
-            self._pinned = page.key
+            # PG_locked while the window reads ahead: eviction skips the
+            # page, so the window never evicts the page it was started for.
+            page.locked = True
             try:
                 with TRACER.span("fault.readahead", clock):
                     self._readahead(thread, vma, file, file_page)
             finally:
-                self._pinned = None
+                page.locked = False
         return page
 
     def _readahead(
@@ -414,8 +413,8 @@ class AquilaEngine(MmioEngine):
     ) -> None:
         """madvise-driven sequential prefetch (Section 3.2).
 
-        The faulting page is pinned (``_pinned``) against eviction; the
-        window ends early when nothing else is left to evict.
+        The faulting page is locked against eviction; the window ends
+        early when nothing else is left to evict.
         """
         clock = thread.clock
         last = min(file.size_pages, file_page + 1 + self.readahead_pages)
@@ -465,7 +464,7 @@ class AquilaEngine(MmioEngine):
         cache = self.cache
         self.eviction_batches += 1
         with TRACER.span("evict", clock):
-            victims = cache.pick_victims(clock, cache.eviction_batch, self._pinned)
+            victims = cache.pick_victims(clock, cache.eviction_batch)
             if not victims:
                 raise OutOfMemoryError("cache empty but freelist dry")
 

@@ -46,16 +46,18 @@ class BufferedIOEngine:
 
     def _get_page(self, thread: SimThread, file: BackingFile, file_page: int) -> CachePage:
         clock = thread.clock
-        page = self.cache.lookup(clock, thread.tid, file, file_page)
+        cache = self.cache
+        tree_lock = cache.tree_lock_of(file)
+        page = cache.lookup(clock, thread.tid, tree_lock, file, file_page)
         if page is not None:
             return page
-        frame = self.cache.allocate_frame(clock)
-        if frame is None:
+        inserted = cache.insert_run(clock, thread.tid, tree_lock, file, [file_page])
+        if not inserted:
             self._reclaim(thread)
-            frame = self.cache.allocate_frame(clock)
-            if frame is None:
+            inserted = cache.insert_run(clock, thread.tid, tree_lock, file, [file_page])
+            if not inserted:
                 raise OutOfMemoryError("page cache exhausted")
-        page = self.cache.insert(clock, thread.tid, file, file_page, frame)
+        page = inserted[0]
         data = file.device.submit(
             clock,
             file.device_offset(file_page),
@@ -63,7 +65,8 @@ class BufferedIOEngine:
             is_write=False,
             wait_category="idle.io.buffered",
         )
-        self.cache.pool.write(frame, data)
+        cache.pool.write(page.frame, data)
+        page.locked = False
         return page
 
     def _reclaim(self, thread: SimThread) -> None:

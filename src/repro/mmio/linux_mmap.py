@@ -26,14 +26,23 @@ from repro.devices.pmem import PmemDevice
 from repro.cache.base import CachePage
 from repro.cache.kernel_cache import KernelPageCache
 from repro.fault.crash import CRASH
-from repro.fault.retry import with_retries
+from repro.fault.retry import retry_after_failure
 from repro.hw.machine import Machine
 from repro.hw.vmx import ExecutionDomain, VMXCostModel
 from repro.mmio.engine import Mapping, MmioEngine
 from repro.mmio.files import BackingFile
-from repro.mmio.vma import MADV_RANDOM, MADV_SEQUENTIAL, VMA, LinuxVMAStore
+from repro.mmio.vma import (
+    MADV_DONTNEED,
+    MADV_NORMAL,
+    MADV_RANDOM,
+    MADV_SEQUENTIAL,
+    MADV_WILLNEED,
+    VMA,
+    LinuxVMAStore,
+)
 from repro.obs import TRACER
 from repro.sim.executor import SimThread
+from repro.sim.locks import SpinlockTimeline
 
 #: Linux direct reclaim works in SWAP_CLUSTER_MAX-sized batches.
 RECLAIM_BATCH_PAGES = 32
@@ -67,9 +76,17 @@ class LinuxMmapEngine(MmioEngine):
         self.readahead_reads = 0
         self.readahead_aborted = 0
         self.reclaim_runs = 0
-        # Pages locked by an in-progress fault (PG_locked): reclaim skips
-        # them, so a readahead window can never evict its own pages.
-        self._pinned = set()
+        # Readahead window size per madvise advice.  Readahead cannot
+        # outgrow memory: clamp to a quarter of the cache (the kernel
+        # similarly backs off under memory pressure).
+        normal = max(1, min(readahead_pages, cache_pages // 4))
+        self._window_pages = {
+            MADV_NORMAL: normal,
+            MADV_RANDOM: 1,
+            MADV_SEQUENTIAL: max(1, min(readahead_pages * 2, cache_pages // 4)),
+            MADV_WILLNEED: normal,
+            MADV_DONTNEED: normal,
+        }
 
     # -- engine plumbing ------------------------------------------------------
 
@@ -105,10 +122,11 @@ class LinuxMmapEngine(MmioEngine):
         file = vma.file
         file_page = vma.file_page_of(vpn)
 
-        page = self.cache.lookup(clock, thread.tid, file, file_page)
+        tree_lock = self.cache.tree_lock_of(file)
+        page = self.cache.lookup(clock, thread.tid, tree_lock, file, file_page)
         if page is None:
             self.major_faults += 1
-            page = self._read_in(thread, vma, file, file_page)
+            page = self._read_in(thread, vma, file, file_page, tree_lock)
         else:
             self.minor_faults += 1
 
@@ -147,37 +165,41 @@ class LinuxMmapEngine(MmioEngine):
     # -- page-cache fill (miss path) ---------------------------------------------
 
     def _read_in(
-        self, thread: SimThread, vma: VMA, file: BackingFile, file_page: int
+        self,
+        thread: SimThread,
+        vma: VMA,
+        file: BackingFile,
+        file_page: int,
+        tree_lock: SpinlockTimeline,
     ) -> CachePage:
         """Read the faulting page plus its readahead window, run by run.
 
         Mirrors the kernel's ordering: pages are added to the page-cache
-        tree first (tree lock held only for the insert), then the device
-        reads fill them — so the tree lock is *not* held across I/O.
+        tree first (``tree_lock`` held only for the insert), then the
+        device reads fill them — so the tree lock is *not* held across
+        I/O.  Returns the faulting page.
         """
         clock = thread.clock
-        start, end = self._readahead_window(vma, file, file_page)
         cache = self.cache
-        pinned = self._pinned
-        file_id = file.file_id
+        start, end = self._readahead_window(vma, file, file_page)
 
         # Phase 1: allocate frames and install tree entries, one run at a
-        # time.  Each fresh page is pinned (PG_locked) until its data
-        # arrives so concurrent reclaim cannot steal it.  Direct reclaim
-        # runs only when the free list runs dry; it may evict a later page
-        # of this window that was resident, so residency is re-checked
-        # from the page that found no frame.
-        fresh: List[int] = []
-        frames: List[int] = []
+        # time.  Each fresh page comes back locked (PG_locked) until its
+        # data arrives, so reclaim cannot steal it.  Direct reclaim runs
+        # only when the free list runs dry; it may evict a later page of
+        # this window that was resident, so residency is re-checked from
+        # the page that found no frame.
+        fresh: List[CachePage] = []
         with TRACER.span("fault.alloc", clock):
-            pending = cache.absent_pages(file, start, end)
+            if end - start == 1:
+                pending = [file_page]   # the lookup just missed it
+            else:
+                pending = cache.absent_pages(file, start, end)
             reclaimed = False
             while True:
-                got = cache.insert_run(clock, thread.tid, file, pending)
+                got = cache.insert_run(clock, thread.tid, tree_lock, file, pending)
+                fresh += got
                 done = len(got)
-                fresh.extend(pending[:done])
-                frames.extend(got)
-                pinned.update((file_id, page) for page in pending[:done])
                 if done == len(pending):
                     break
                 if reclaimed and not got:
@@ -185,7 +207,6 @@ class LinuxMmapEngine(MmioEngine):
                 self._direct_reclaim(thread)
                 reclaimed = True
                 pending = cache.absent_pages(file, pending[done], end)
-            # pins released after phase 2 below
 
         # Phase 2: read device data into the new frames, one command per
         # run of device-contiguous pages; only the run containing the
@@ -193,52 +214,54 @@ class LinuxMmapEngine(MmioEngine):
         with TRACER.span("fault.io", clock):
             index, total = 0, len(fresh)
             while index < total:
-                first_page = fresh[index]
-                if fresh[-1] - first_page == total - 1 - index:
+                first_page = fresh[index].file_page
+                if fresh[-1].file_page - first_page == total - 1 - index:
                     stop = total   # the rest of the window is consecutive
                 else:
                     stop = index + 1
-                    while fresh[stop] == fresh[stop - 1] + 1:
+                    while fresh[stop].file_page == fresh[stop - 1].file_page + 1:
                         stop += 1
-                stop = index + file.contiguous_run(first_page, stop - index)
-                self._read_run(
-                    thread, file, fresh[index:stop], frames[index:stop], file_page
-                )
+                if stop - index > 1:
+                    stop = index + file.contiguous_run(first_page, stop - index)
+                run = fresh[index:stop]
+                blocking = first_page <= file_page < first_page + len(run)
+                if blocking:
+                    target = run[file_page - first_page]
+                self._read_run(thread, file, run, blocking)
                 index = stop
-        pinned.difference_update((file_id, page) for page in fresh)
-
-        target = cache.get_nocost(file, file_page)
-        if target is None:
-            raise OutOfMemoryError("failed to populate faulting page")
+        for page in fresh:
+            page.locked = False
         return target
 
     def _read_run(
-        self,
-        thread: SimThread,
-        file: BackingFile,
-        pages: List[int],
-        frames: List[int],
-        fault_page: int,
+        self, thread: SimThread, file: BackingFile, run: List[CachePage], blocking: bool
     ) -> None:
-        """Fill ``frames`` with file ``pages`` (device-contiguous) in one command.
+        """Fill the pages of ``run`` (device-contiguous) in one command.
 
-        The run holding ``fault_page`` is a blocking read, retried on
-        transient faults; any other run is asynchronous readahead, and a
-        failed submission drops its pages instead of retrying.
+        A ``blocking`` run (the one holding the faulting page) is read
+        synchronously, retried on transient faults; any other run is
+        asynchronous readahead, and a failed submission drops its pages
+        instead of retrying.
         """
         clock = thread.clock
         device = file.device
-        offset = file.device_offset(pages[0])
-        count = len(pages)
-        if pages[0] <= fault_page <= pages[-1]:
-            data = with_retries(
-                clock,
-                lambda: device.submit_read_pages(
+        offset = file.device_offset(run[0].file_page)
+        count = len(run)
+        if blocking:
+            try:
+                data = device.submit_read_pages(
                     clock, offset, count, wait_category="idle.io.fault"
-                ),
-                "fault.io",
-                self.retry_policy,
-            )
+                )
+            except TransientDeviceError as error:
+                data = retry_after_failure(
+                    clock,
+                    lambda: device.submit_read_pages(
+                        clock, offset, count, wait_category="idle.io.fault"
+                    ),
+                    error,
+                    "fault.io",
+                    self.retry_policy,
+                )
             if not isinstance(device, PmemDevice):
                 # Interrupt-driven completion: IRQ + wakeup + reschedule.
                 clock.charge("fault.io.irq", constants.HOST_NVME_COMPLETION_CYCLES)
@@ -249,28 +272,21 @@ class LinuxMmapEngine(MmioEngine):
                 )
             except TransientDeviceError:
                 # Speculative readahead degrades instead of retrying:
-                # drop the fresh pages so nobody sees unfilled frames.
-                for page_index in pages:
-                    page = self.cache.get_nocost(file, page_index)
-                    if page is not None:
-                        self._pinned.discard((file.file_id, page_index))
-                        self.cache.remove(clock, thread.tid, page)
+                # unlock and drop the fresh pages so nobody sees unfilled
+                # frames.
+                for page in run:
+                    page.locked = False
+                    self.cache.remove(clock, thread.tid, page)
                 self.readahead_aborted += count
                 return
             data = device.store.read_pages(offset >> units.PAGE_SHIFT, count)
             self.readahead_reads += count
-        self.cache.pool.install(frames, data)
+        self.cache.pool.install([page.frame for page in run], data)
 
     def _readahead_window(self, vma: VMA, file: BackingFile, file_page: int):
-        if vma.advice == MADV_RANDOM:
-            ra = 1
-        elif vma.advice == MADV_SEQUENTIAL:
-            ra = self.readahead_pages * 2
-        else:
-            ra = self.readahead_pages
-        # Readahead cannot outgrow memory: clamp to a quarter of the cache
-        # (the kernel similarly backs off under memory pressure).
-        ra = max(1, min(ra, self.cache.capacity_pages // 4))
+        ra = self._window_pages[vma.advice]
+        if ra == 1:
+            return file_page, file_page + 1
         # Read-around: center the window on the fault, as fault-around does.
         start = max(0, file_page - ra // 2)
         end = min(file.size_pages, start + ra)
@@ -299,13 +315,11 @@ class LinuxMmapEngine(MmioEngine):
         victims = [
             page
             for page in self.cache.pick_victims(RECLAIM_BATCH_PAGES * 2)
-            if page.key not in self._pinned
+            if not page.locked
         ]
         if not victims:
             raise OutOfMemoryError("page cache empty but allocation failed")
-        victims = victims[:RECLAIM_BATCH_PAGES] if len(
-            victims
-        ) > RECLAIM_BATCH_PAGES else victims
+        del victims[RECLAIM_BATCH_PAGES:]
         clock.charge(
             "reclaim.scan", constants.LINUX_RECLAIM_PER_PAGE_CYCLES * len(victims)
         )
@@ -326,10 +340,11 @@ class LinuxMmapEngine(MmioEngine):
             removed = [forced]
         vpns: List[int] = []
         for page in removed:
-            for vpn in page.mapped_vpns:
-                self.page_table.remove(vpn)
-                vpns.append(vpn)
-            page.mapped_vpns.clear()
+            mapped = page.mapped_vpns
+            if mapped:
+                vpns.extend(mapped)
+                mapped.clear()
+        self.page_table.remove_many(vpns)
         self._shootdown(thread, vpns)
 
     def _maybe_writeback(self, thread: SimThread, exclude_key=None) -> None:
