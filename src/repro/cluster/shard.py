@@ -7,9 +7,9 @@ spanning the *whole logical dataset* — pages are addressed by their
 global index, so only the pages this shard owns (or holds replicas of)
 are ever faulted in.  Epoch by epoch it (1) applies the replication
 messages delivered at the boundary, then (2) serves its slice of the
-global client op stream through the engine's ordinary load/store paths —
-including the batched ``hit_run`` fast path and the analytic
-fast-forward — collecting an outbox of cycle-stamped replication
+global client op stream through the engine's ``access_step`` — the
+per-op load/store path, batched hit runs and the analytic fast-forward —
+collecting an outbox of cycle-stamped replication
 messages for the writes it served.
 
 Identity discipline: every shard resets the global ``SimThread`` /
@@ -38,14 +38,12 @@ from repro.cluster.bus import ShardMessage
 from repro.common import units
 from repro.mmio.files import BackingFile
 from repro.mmio.vma import MADV_RANDOM
-from repro.obs import TRACER
 from repro.sim.conformance import stack_state_digest
 from repro.sim.executor import SimThread, make_epoch_executor
 from repro.sim.fastforward import AccessPlan
-from repro.workloads.microbench import WRITE_DATA
 
 #: Payload every replicated store writes on the replica — the same
-#: constant-byte idiom as the microbenchmark's ``WRITE_DATA`` (identical
+#: constant-byte idiom as the engine's ``WRITE_DATA`` (identical
 #: bytes are what make concurrent hit-stores commute).
 REPL_DATA = b"\x5A" * 8
 
@@ -173,13 +171,12 @@ class ShardSim:
     ) -> Iterator[None]:
         """The epoch's client-serving iterator (one op or run per step).
 
-        Structurally the microbenchmark's ``access_workload`` — slow-path
-        per-op service, batched ``hit_run``, fast-forward single-op
-        retirement — plus the completion cursor that stamps each served
-        write into ``outbox`` with the shared-arithmetic completion cycle
-        (module docstring).
+        Structurally the microbenchmark's ``access_workload`` — one
+        ``access_step`` per executor step — plus the completion cursor
+        that stamps each served write into ``outbox`` with the
+        shared-arithmetic completion cycle (module docstring).
         """
-        engine = self.engine
+        step = self.engine.access_step
         thread = self.thread
         mapping = self.mapping
         pages_seq, offsets_seq, writes_seq = ops.pages, ops.offsets, ops.writes
@@ -188,63 +185,30 @@ class ShardSim:
             np_pages = _np.asarray(pages_seq, dtype=_np.int64)
             np_writes = _np.asarray(writes_seq, dtype=bool)
         plan = AccessPlan.build(pages_seq, offsets_seq, writes_seq, np_pages, np_writes)
-        load_op_fast = engine.load_op_fast
         samples = thread.latencies._samples
         cursor = thread.clock.now
         index = 0
         total = len(pages_seq)
-
-        def emit(op_index: int, completion: float) -> None:
-            if writes_seq[op_index] and ops.dests[op_index]:
-                outbox.append(
-                    ShardMessage(
-                        cycle=completion,
-                        shard_id=self.shard_id,
-                        seq=len(outbox),
-                        kind=KIND_REPLICATE,
-                        dest=ops.dests[op_index],
-                        key=ops.keys[op_index],
-                        page=pages_seq[op_index],
-                        offset=offsets_seq[op_index],
-                    )
-                )
-
         while index < total:
-            horizon = thread.run_horizon
-            if horizon is not None:
-                consumed = engine.hit_run(
-                    thread, mapping, plan, index, horizon, WRITE_DATA
-                )
-                if consumed:
-                    base = len(samples) - consumed
-                    for j in range(consumed):
-                        cursor += samples[base + j]
-                        emit(index + j, cursor)
-                    index += consumed
-                    yield
-                    continue
-                if (
-                    engine.fastforward
-                    and not writes_seq[index]
-                    and load_op_fast(
-                        thread, mapping, pages_seq[index], offsets_seq[index]
+            consumed = step(thread, mapping, plan, index)
+            base = len(samples) - consumed
+            for j in range(consumed):
+                cursor += samples[base + j]
+                op_index = index + j
+                if writes_seq[op_index] and ops.dests[op_index]:
+                    outbox.append(
+                        ShardMessage(
+                            cycle=cursor,
+                            shard_id=self.shard_id,
+                            seq=len(outbox),
+                            kind=KIND_REPLICATE,
+                            dest=ops.dests[op_index],
+                            key=ops.keys[op_index],
+                            page=pages_seq[op_index],
+                            offset=offsets_seq[op_index],
+                        )
                     )
-                ):
-                    cursor += samples[-1]
-                    index += 1
-                    yield
-                    continue
-            start = thread.clock.now
-            offset = pages_seq[index] * units.PAGE_SIZE + offsets_seq[index]
-            with TRACER.span("op.access", thread.clock):
-                if writes_seq[index]:
-                    mapping.store(thread, offset, WRITE_DATA)
-                else:
-                    mapping.load(thread, offset, 8)
-            thread.record_op(start)
-            cursor += samples[-1]
-            emit(index, cursor)
-            index += 1
+            index += consumed
             yield
 
     def run_epoch(

@@ -24,7 +24,7 @@ mechanisms remove heap round-trips without changing any simulated outcome
 * **hit runs** — before each step the executor publishes
   ``thread.run_horizon``; workloads may retire a *run* of consecutive pure
   cache-hit operations whose start times do not pass it in one step (via
-  ``MmioEngine.hit_run``), re-entering the heap on a miss, a lock
+  ``MmioEngine.access_step``), re-entering the heap on a miss, a lock
   acquisition, a protection change, or the horizon.
 
 The horizon is the heap top's key: a hit op may start at the top's clock
@@ -234,31 +234,41 @@ class Executor:
         try:
             while heap:
                 _, order, thread, it = heapq.heappop(heap)
-                top = heap[0] if heap else None
+                clock = thread.clock
+                if heap:
+                    top_now, top_order = heap[0][0], heap[0][1]
+                    wins_tie = order < top_order
+                else:
+                    top_now = None
                 while True:
-                    if top is None or (quiescent is not None and quiescent()):
+                    if top_now is None or (quiescent is not None and quiescent()):
                         thread.run_horizon = math.inf
-                    elif order < top[1]:
-                        thread.run_horizon = top[0]
+                    elif wins_tie:
+                        thread.run_horizon = top_now
                     else:
-                        thread.run_horizon = math.nextafter(top[0], -math.inf)
-                    before = thread.clock.now
+                        thread.run_horizon = math.nextafter(top_now, -math.inf)
+                    before = clock.now
                     try:
                         next(it)
                     except StopIteration:
                         break
-                    if thread.clock.now < before:
+                    now = clock.now
+                    if now < before:
                         raise SimulationError(
                             f"{thread.name} moved backwards in time "
-                            f"({before:.0f} -> {thread.clock.now:.0f})"
+                            f"({before:.0f} -> {now:.0f})"
                         )
                     steps += 1
                     if max_ops is not None and steps > max_ops:
                         raise SimulationError(
                             f"executor exceeded max_ops={max_ops}"
                         )
-                    if top is not None and (thread.clock.now, order) > top[:2]:
-                        heapq.heappush(heap, (thread.clock.now, order, thread, it))
+                    # (now, order) > the top's key, field by field (orders
+                    # are unique, so a clock tie is decided by wins_tie).
+                    if top_now is not None and (
+                        now > top_now or (now == top_now and not wins_tie)
+                    ):
+                        heapq.heappush(heap, (now, order, thread, it))
                         break
                     # Still the scheduling minimum: continue without a
                     # heap round-trip (identical schedule by construction).

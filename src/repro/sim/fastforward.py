@@ -3,7 +3,7 @@
 The epoch-batched executor (``repro.sim.executor``) already retires runs
 of consecutive pure cache hits in one step, but it still *executes* every
 hit in a Python loop.  This module provides the closed forms that let
-``MmioEngine.hit_run`` retire a whole window of all-hit accesses
+``MmioEngine.access_step`` retire a whole window of all-hit accesses
 analytically — the hybrid analytic/discrete-event idea of LANL's PPT
 processor models, applied to the mmio access protocol.
 
@@ -56,7 +56,7 @@ except ImportError:      # pragma: no cover - numpy ships with the toolchain
 #: setup; shorter prospective runs fall through to the slim Python loop.
 MIN_ANALYTIC_RUN = 64
 
-#: Analytic windows are clipped to this many accesses per ``hit_run``
+#: Analytic windows are clipped to this many accesses per hit run
 #: call so every per-call scan (write cut, bounds cut, profile) is O(1)
 #: in the *remaining plan length* — a miss-heavy cell that calls and
 #: rejects on every op must never go quadratic.
