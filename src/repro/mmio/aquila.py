@@ -24,7 +24,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common import constants, units
-from repro.common.errors import OutOfMemoryError, SegmentationFault, TransientDeviceError
+from repro.common.errors import (
+    DeviceError,
+    OutOfMemoryError,
+    SegmentationFault,
+    TransientDeviceError,
+)
 from repro.cache.aquila_cache import AquilaCache
 from repro.cache.base import CachePage
 from repro.devices.block import ZERO_PAGE
@@ -388,11 +393,16 @@ class AquilaEngine(MmioEngine):
             # granules make this essentially free; Section 3.5).
             self.ept.translate(frame * units.PAGE_SIZE, clock)
         with TRACER.span("fault.io", clock):
+            try:
+                data = self.io_path.read_pages(
+                    clock, file.device_offset(file_page), 1, "fault.io"
+                )
+            except DeviceError:
+                # The read gave up: recycle the frame, as a lost race does.
+                cache.freelist.free(clock, thread.core, frame)
+                raise
             # The device store's page object goes into the frame as is.
-            cache.pool.install(
-                (frame,),
-                self.io_path.read_pages(clock, file.device_offset(file_page), 1, "fault.io"),
-            )
+            cache.pool.install((frame,), data)
         page = cache.insert(clock, file, file_page, frame)
         if page.frame != frame:
             # Lost the install race; recycle the speculative frame.

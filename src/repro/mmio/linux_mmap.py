@@ -21,7 +21,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common import constants, units
-from repro.common.errors import OutOfMemoryError, SegmentationFault, TransientDeviceError
+from repro.common.errors import (
+    DeviceError,
+    OutOfMemoryError,
+    SegmentationFault,
+    TransientDeviceError,
+)
 from repro.devices.pmem import PmemDevice
 from repro.cache.base import CachePage
 from repro.cache.kernel_cache import KernelPageCache
@@ -213,22 +218,32 @@ class LinuxMmapEngine(MmioEngine):
         # faulting page blocks, the rest is readahead.
         with TRACER.span("fault.io", clock):
             index, total = 0, len(fresh)
-            while index < total:
-                first_page = fresh[index].file_page
-                if fresh[-1].file_page - first_page == total - 1 - index:
-                    stop = total   # the rest of the window is consecutive
-                else:
-                    stop = index + 1
-                    while fresh[stop].file_page == fresh[stop - 1].file_page + 1:
-                        stop += 1
-                if stop - index > 1:
-                    stop = index + file.contiguous_run(first_page, stop - index)
-                run = fresh[index:stop]
-                blocking = first_page <= file_page < first_page + len(run)
-                if blocking:
-                    target = run[file_page - first_page]
-                self._read_run(thread, file, run, blocking)
-                index = stop
+            try:
+                while index < total:
+                    first_page = fresh[index].file_page
+                    if fresh[-1].file_page - first_page == total - 1 - index:
+                        stop = total   # the rest of the window is consecutive
+                    else:
+                        stop = index + 1
+                        while fresh[stop].file_page == fresh[stop - 1].file_page + 1:
+                            stop += 1
+                    if stop - index > 1:
+                        stop = index + file.contiguous_run(first_page, stop - index)
+                    run = fresh[index:stop]
+                    blocking = first_page <= file_page < first_page + len(run)
+                    if blocking:
+                        target = run[file_page - first_page]
+                    self._read_run(thread, file, run, blocking)
+                    index = stop
+            except DeviceError:
+                # The blocking read gave up: as on a readahead abort, drop
+                # the pages no run filled so nobody maps unfilled frames,
+                # and unlock the rest so reclaim can take them.
+                for page in fresh:
+                    page.locked = False
+                for page in fresh[index:]:
+                    cache.remove(clock, thread.tid, page)
+                raise
         for page in fresh:
             page.locked = False
         return target

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.setups import make_aquila_stack, make_kmmap_stack, make_linux_stack
 from repro.common import units
 from repro.common.errors import DeviceError, TornWriteError, TransientDeviceError
 from repro.devices.io_engines import KernelFaultIO
@@ -17,8 +18,12 @@ from repro.fault.plan import (
     plan_installed,
 )
 from repro.fault.retry import DEFAULT_RETRY_POLICY, RetryPolicy, with_retries
+from repro.mmio.files import BackingFile
 from repro.obs import METRICS
 from repro.sim.clock import CycleClock
+from repro.sim.conformance import MMIO_ENGINE_KINDS
+from repro.sim.executor import SimThread
+from repro.sim.invariants import check_frames
 
 PAGE = units.PAGE_SIZE
 
@@ -36,6 +41,28 @@ def _nvme_with(triggers, **spec_kwargs):
     with plan_installed(plan):
         device = NvmeDevice(capacity_bytes=4 * units.MIB)
     return device, plan
+
+
+def _giveup_stack(engine_kind, triggers):
+    """A 32-page NVMe stack whose 64-page file holds byte p+1 in page p,
+    msynced and dropped from the cache; ``triggers`` arm the device."""
+    SimThread.reset_ids()
+    BackingFile.reset_ids()
+    maker = {
+        "aquila": make_aquila_stack,
+        "kmmap": make_kmmap_stack,
+        "linux": make_linux_stack,
+    }[engine_kind]
+    with plan_installed(FaultPlan(1, FaultSpec(triggers={"nvme0": triggers}))):
+        stack = maker("nvme", 32)
+    thread = SimThread(core=0)
+    file = stack.allocator.create("giveup", 64 * PAGE)
+    mapping = stack.engine.mmap(thread, file)
+    for page in range(64):
+        mapping.store(thread, page * PAGE, bytes([page + 1]) * PAGE)
+    mapping.msync(thread)
+    stack.engine.invalidate_file(thread, file)
+    return stack, thread, mapping
 
 
 class TestDeviceInjection:
@@ -123,6 +150,30 @@ class TestRetryPolicy:
         assert not isinstance(excinfo.value, TransientDeviceError)
         assert METRICS.counter("fault.giveups").value == 1
         assert METRICS.counter("fault.retries").value == attempts - 1
+
+    @pytest.mark.parametrize("engine_kind", MMIO_ENGINE_KINDS)
+    def test_fill_giveup_releases_its_frames(self, engine_kind):
+        """A page fill whose read gives up leaves no frame or lock behind.
+
+        A 32-page cache on NVMe over a 64-page file holding byte p+1 in
+        page p (written, msynced, dropped).  The read of page 5 fails on
+        every attempt, so the load raises; afterwards every frame is free
+        or resident, nothing stays locked, and a retried load of page 5
+        reads its bytes instead of an unfilled frame.
+        """
+        attempts = DEFAULT_RETRY_POLICY.max_attempts
+        stack, thread, mapping = _giveup_stack(engine_kind, {})
+        fill_read = stack.device.faults.op_index
+        stack, thread, mapping = _giveup_stack(
+            engine_kind, {fill_read + i: FAULT_ERROR for i in range(attempts)}
+        )
+        with pytest.raises(DeviceError) as excinfo:
+            mapping.load(thread, 5 * PAGE, 8)
+        assert not isinstance(excinfo.value, TransientDeviceError)
+        assert stack.device.faults.errors_injected == attempts
+        check_frames(stack)
+        assert mapping.load(thread, 5 * PAGE, 8) == b"\x06" * 8
+        check_frames(stack)
 
     def test_torn_write_is_retried_to_full_write(self):
         """A torn write retried lands the complete payload."""
