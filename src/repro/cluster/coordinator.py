@@ -38,7 +38,7 @@ from repro.cluster.shard import ShardOps, ShardSim
 from repro.common import units
 from repro.fault.shardkill import ShardKillSpec
 from repro.sim.conformance import hash_digest
-from repro.sim.rand import counter_draws
+from repro.sim.rand import bernoulli_draws, counter_draws
 from repro.sim.stats import throughput_ops_per_sec
 
 #: Tags naming the cluster client plan's independent counter streams.
@@ -170,23 +170,12 @@ class ClientPlan:
         total = config.total_ops
         key_draws = counter_draws(config.seed, _TAG_KEY, total)
         offset_draws = counter_draws(config.seed, _TAG_OFFSET, total)
-        if not isinstance(key_draws, list):
-            key_draws = key_draws.tolist()
-            offset_draws = offset_draws.tolist()
-        self.keys: List[int] = key_draws
-        self.pages: List[int] = [k % config.dataset_pages for k in key_draws]
-        self.offsets: List[int] = [d % (units.PAGE_SIZE - 8) for d in offset_draws]
-        fraction = config.write_fraction
-        if fraction <= 0.0:
-            self.writes = [False] * total
-        elif fraction >= 1.0:
-            self.writes = [True] * total
-        else:
-            threshold = min(int(fraction * 2.0 ** 64), (1 << 64) - 1)
-            write_draws = counter_draws(config.seed, _TAG_WRITE, total)
-            if not isinstance(write_draws, list):
-                write_draws = write_draws.tolist()
-            self.writes = [d < threshold for d in write_draws]
+        self.keys: List[int] = key_draws.tolist()
+        self.pages: List[int] = (key_draws % config.dataset_pages).tolist()
+        self.offsets: List[int] = (offset_draws % (units.PAGE_SIZE - 8)).tolist()
+        self.writes: List[bool] = bernoulli_draws(
+            config.seed, _TAG_WRITE, total, config.write_fraction
+        ).tolist()
 
     def epoch_window(self, epoch: int, epoch_ops: int) -> range:
         """Global op indices of epoch ``epoch``."""

@@ -29,11 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:          # plans fall back to pure-Python, same values
-    _np = None
-
 from repro.cluster.bus import ShardMessage
 from repro.common import units
 from repro.mmio.files import BackingFile
@@ -180,17 +175,13 @@ class ShardSim:
         thread = self.thread
         mapping = self.mapping
         pages_seq, offsets_seq, writes_seq = ops.pages, ops.offsets, ops.writes
-        np_pages = np_writes = None
-        if _np is not None:
-            np_pages = _np.asarray(pages_seq, dtype=_np.int64)
-            np_writes = _np.asarray(writes_seq, dtype=bool)
-        plan = AccessPlan.build(pages_seq, offsets_seq, writes_seq, np_pages, np_writes)
+        plan = AccessPlan(pages_seq, offsets_seq, writes_seq)
         samples = thread.latencies._samples
         cursor = thread.clock.now
         index = 0
         total = len(pages_seq)
         while index < total:
-            consumed = step(thread, mapping, plan, index)
+            consumed = step(thread, mapping, plan, index, total)
             base = len(samples) - consumed
             for j in range(consumed):
                 cursor += samples[base + j]

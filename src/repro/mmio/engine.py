@@ -346,13 +346,14 @@ class MmioEngine:
             return self._fault(thread, mapping.vma, vpn, is_write)
 
     def access_step(
-        self, thread: SimThread, mapping: Mapping, plan, index: int
+        self, thread: SimThread, mapping: Mapping, plan, index: int, end: int
     ) -> int:
         """Retire the next op (or run of hits) of an access plan.
 
-        ``plan`` holds three parallel sequences ``(pages,
-        in_page_offsets, is_write_flags)``, one 8-byte access each;
-        stores write :data:`WRITE_DATA`.  This is the one engine call a
+        ``plan`` is an :class:`~repro.sim.fastforward.AccessPlan`, one
+        8-byte access per element; stores write :data:`WRITE_DATA`.  The
+        step retires ops from ``index`` on and never reaches ``end``
+        (``index < end <= len(plan[0])``).  This is the one engine call a
         plan-driven workload makes per executor step.  It reads
         ``thread.run_horizon`` and returns how many ops it retired (at
         least one):
@@ -377,8 +378,8 @@ class MmioEngine:
         horizon = thread.run_horizon
         if horizon is not None:
             pages_seq, _, writes_seq = plan
-            page = pages_seq[index]
-            is_write = writes_seq[index]
+            page = pages_seq.item(index)
+            is_write = writes_seq.item(index)
             clock = thread.clock
             vma = mapping.vma
             if (
@@ -433,15 +434,17 @@ class MmioEngine:
                     latencies._sorted_cache = None
                     thread.ops_completed += 1
                     return 1
-            consumed = self._hit_run(thread, mapping, plan, index, horizon, page, is_write)
+            consumed = self._hit_run(
+                thread, mapping, plan, index, end, horizon, page, is_write
+            )
             if consumed:
                 return consumed
         pages_seq, offsets_seq, writes_seq = plan
         clock = thread.clock
         start = clock.now
-        offset = pages_seq[index] * units.PAGE_SIZE + offsets_seq[index]
+        offset = pages_seq.item(index) * units.PAGE_SIZE + offsets_seq.item(index)
         with TRACER.span("op.access", clock):
-            if writes_seq[index]:
+            if writes_seq.item(index):
                 self.store(thread, mapping, offset, WRITE_DATA)
             else:
                 self.load(thread, mapping, offset, 8)
@@ -454,6 +457,7 @@ class MmioEngine:
         mapping: Mapping,
         accesses,
         index: int,
+        end: int,
         horizon: float,
         page: int,
         is_write: bool,
@@ -462,7 +466,7 @@ class MmioEngine:
 
         Called by :meth:`access_step` with the plan ``accesses`` and the
         first op's ``page`` and ``is_write`` already read.  The run
-        starts at ``index`` and consumes while each
+        starts at ``index``, stops before ``end``, and consumes while each
         access starts at or before ``horizon`` and hits: PTE
         present and writable when needed.  The charge sequence per access
         is call-for-call identical to the hit branch of
@@ -483,7 +487,6 @@ class MmioEngine:
         num_pages = vma.num_pages
         start_vpn = vma.start_vpn
         clock = thread.clock
-        pages_seq, offsets_seq, writes_seq = accesses
         # Early reject before the per-run setup below: miss-dominated
         # cells call this once per op and consume nothing, so the
         # zero-consumed path must cost no more than these few checks
@@ -495,12 +498,15 @@ class MmioEngine:
         pte = self.page_table._entries.get(start_vpn + page)
         if pte is None or (is_write and not pte.writable):
             return 0
+        pages_seq, offsets_seq, writes_seq = accesses
+        page_at = pages_seq.item
+        write_at = writes_seq.item
+        offset_at = offsets_seq.item
         machine = self.machine
         tlb = machine.tlb_of(thread)
         lookup = self.page_table.lookup
         pool = self._pool()
         consumed = 0
-        total = len(pages_seq)
         if clock.cpi_factor == 1.0 and clock._obs_span is None:
             # Slim path: with CPI 1.0 every per-op charge is an integer
             # float, so batching the breakdown updates (one dict write per
@@ -523,10 +529,9 @@ class MmioEngine:
             if (
                 self.fastforward
                 and horizon == math.inf
-                and total - index >= MIN_ANALYTIC_RUN
+                and end - index >= MIN_ANALYTIC_RUN
                 and core not in pending
                 and num_pages <= MAX_ANALYTIC_PAGES
-                and getattr(accesses, "np_pages", None) is not None
                 and now.is_integer()
             ):
                 # Analytic fast-forward: with an unbounded horizon the
@@ -546,9 +551,9 @@ class MmioEngine:
                     # stays integer), no other thread runs inside this
                     # call (pending interference cannot appear), and the
                     # plan arrays don't change.
-                    while total - index >= MIN_ANALYTIC_RUN:
+                    while end - index >= MIN_ANALYTIC_RUN:
                         retired = self._hit_run_analytic(
-                            thread, vma, tlb, accesses, index, total
+                            thread, vma, tlb, accesses, index, end
                         )
                         if not retired:
                             break
@@ -556,9 +561,9 @@ class MmioEngine:
                         consumed += retired
                     now = clock.now
             run_start = consumed
-            while index < total and now <= horizon:
-                page = pages_seq[index]
-                is_write = writes_seq[index]
+            while index < end and now <= horizon:
+                page = page_at(index)
+                is_write = write_at(index)
                 if (is_write and not vma_writable) or not 0 <= page < num_pages:
                     break
                 vpn = start_vpn + page
@@ -583,7 +588,7 @@ class MmioEngine:
                 now += hit_cost
                 pte.accessed = True
                 if is_write:
-                    pool.write_partial(pte.frame, offsets_seq[index], WRITE_DATA)
+                    pool.write_partial(pte.frame, offset_at(index), WRITE_DATA)
                 append(now - start)
                 index += 1
                 consumed += 1
@@ -599,9 +604,9 @@ class MmioEngine:
                 thread.ops_completed += consumed
         else:
             record_op = thread.record_op
-            while index < total and clock.now <= horizon:
-                page = pages_seq[index]
-                is_write = writes_seq[index]
+            while index < end and clock.now <= horizon:
+                page = page_at(index)
+                is_write = write_at(index)
                 if (is_write and not vma_writable) or not 0 <= page < num_pages:
                     break
                 vpn = start_vpn + page
@@ -617,7 +622,7 @@ class MmioEngine:
                 clock.charge("app.access", constants.LOAD_STORE_HIT_CYCLES)
                 pte.accessed = True
                 if is_write:
-                    pool.write_partial(pte.frame, offsets_seq[index], WRITE_DATA)
+                    pool.write_partial(pte.frame, offset_at(index), WRITE_DATA)
                 record_op(start)
                 index += 1
                 consumed += 1
@@ -627,34 +632,33 @@ class MmioEngine:
         return consumed
 
     def _hit_run_analytic(
-        self, thread: SimThread, vma: VMA, tlb, plan, index: int, total: int
+        self, thread: SimThread, vma: VMA, tlb, plan, index: int, end: int
     ) -> int:
         """Retire a window of all-hit loads in closed form.
 
         Called from the slim branch of :meth:`_hit_run` — repeatedly,
         while full windows keep retiring — under the analytic gates
-        (unbounded horizon, integer
-        clock, no pending interference, vectorized plan, CPI 1.0, tracer
-        idle).  The window is cut at the first write, the first
-        out-of-bounds page, the first access whose PTE is missing, and
-        the first access that would overflow the TLB, re-profiling until
-        the cuts are stable; what remains is applied in bulk — cycle
-        total, per-stage breakdown, per-access latencies, TLB counters
-        and final recency order, PTE accessed bits — bit-identically to
-        stepping the same accesses through the loop (the invariant
+        (unbounded horizon, integer clock, no pending interference, CPI
+        1.0, tracer idle) for the accesses ``[index, end)`` of ``plan``.
+        The window is cut at the first write, the first out-of-bounds
+        page, the first access whose PTE is missing, and the first access
+        that would overflow the TLB, re-profiling until the cuts are
+        stable; what remains is applied in bulk — cycle total, per-stage
+        breakdown, per-access latencies, TLB counters and final recency
+        order, PTE accessed bits — bit-identically to stepping the same
+        accesses through the loop (the invariant
         ``tests/conformance/test_fastforward.py`` checks).  Returns the
         number of accesses retired; 0 means "fall back to the loop".
         """
-        np_writes = plan.np_writes
-        if np_writes is not None and np_writes[index : index + MIN_ANALYTIC_RUN].any():
+        pages, _, writes = plan
+        if writes[index : index + MIN_ANALYTIC_RUN].any():
             return 0  # a write lands before the amortization floor
-        np_pages = plan.np_pages
         num_pages = vma.num_pages
         start_vpn = vma.start_vpn
-        limit = write_cut(np_writes, index, min(total, index + MAX_ANALYTIC_WINDOW))
+        limit = write_cut(writes, index, min(end, index + MAX_ANALYTIC_WINDOW))
         if limit - index < MIN_ANALYTIC_RUN:
             return 0
-        window = np_pages[index:limit]
+        window = pages[index:limit]
         oob = (window < 0) | (window >= num_pages)
         if oob.any():
             limit = index + int(oob.argmax())
@@ -664,7 +668,7 @@ class MmioEngine:
             n = limit - index
             if n < MIN_ANALYTIC_RUN:
                 return 0
-            window = np_pages[index:limit]
+            window = pages[index:limit]
             touched, first, last = window_profile(window, num_pages)
             # One membership pass over the distinct pages classifies the
             # window: pages with no PTE cut it (the loop would break and

@@ -27,14 +27,10 @@ Determinism argument (DESIGN.md Section 12, in brief):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:          # plans fall back to pure-Python, same values
-    _np = None
+import numpy as np
 
 from repro.common import units
 from repro.mmio.vma import MADV_RANDOM
@@ -43,7 +39,7 @@ from repro.serve.arrivals import BurstPhase, burst_schedule, poisson_schedule
 from repro.serve.qos import build_partition
 from repro.sim.executor import RunResult, SimThread, make_epoch_executor
 from repro.sim.fastforward import AccessPlan
-from repro.sim.rand import counter_draws, derive_seed
+from repro.sim.rand import bernoulli_draws, counter_draws, derive_seed
 from repro.sim.stats import LatencyRecorder
 
 #: Tags naming the independent counter streams of one tenant's request
@@ -149,66 +145,35 @@ class ServeOutcome:
 
 def _request_plan(
     base: int, dataset_pages: int, count: int, write_fraction: float
-) -> Tuple[List[int], List[int], List[bool]]:
+) -> AccessPlan:
     """One tenant's request plan: uniform random (page, offset, is_write).
 
-    Same counter-stream idiom as the microbenchmark's ``_op_plan`` —
-    bulk draws, bit-identical with or without numpy — but kept as plain
-    lists: batched serving re-slices the plan per admission batch, so
-    per-batch :class:`AccessPlan` views are built on demand instead.
+    Same counter-stream idiom as the microbenchmark's ``_op_plan``;
+    element *i* is request *i*'s access.
     """
-    page_draws = counter_draws(base, _TAG_PAGE, count)
-    offset_draws = counter_draws(base, _TAG_OFFSET, count)
-    if _np is not None and not isinstance(page_draws, list):
-        pages = (page_draws % dataset_pages).astype(_np.int64).tolist()
-        offsets = (offset_draws % (units.PAGE_SIZE - 8)).astype(_np.int64).tolist()
-    else:
-        pages = [d % dataset_pages for d in page_draws]
-        offsets = [d % (units.PAGE_SIZE - 8) for d in offset_draws]
-    if write_fraction <= 0.0:
-        writes = [False] * count
-    elif write_fraction >= 1.0:
-        writes = [True] * count
-    else:
-        threshold = min(int(write_fraction * 2.0 ** 64), (1 << 64) - 1)
-        write_draws = counter_draws(base, _TAG_WRITE, count)
-        if _np is not None and not isinstance(write_draws, list):
-            writes = (write_draws < threshold).tolist()
-        else:
-            writes = [d < threshold for d in write_draws]
-    return pages, offsets, writes
-
-
-def _batch_plan(
-    batch: List[int],
-    pages_seq: List[int],
-    offsets_seq: List[int],
-    writes_seq: List[bool],
-) -> AccessPlan:
-    """An :class:`AccessPlan` over the pending requests of one batch."""
-    pages = [pages_seq[i] for i in batch]
-    offsets = [offsets_seq[i] for i in batch]
-    writes = [writes_seq[i] for i in batch]
-    np_pages = np_writes = None
-    if _np is not None:
-        np_pages = _np.asarray(pages, dtype=_np.int64)
-        np_writes = _np.asarray(writes, dtype=bool)
-    return AccessPlan.build(pages, offsets, writes, np_pages, np_writes)
+    pages = counter_draws(base, _TAG_PAGE, count) % dataset_pages
+    offsets = counter_draws(base, _TAG_OFFSET, count) % (units.PAGE_SIZE - 8)
+    writes = bernoulli_draws(base, _TAG_WRITE, count, write_fraction)
+    return AccessPlan(pages, offsets, writes)
 
 
 def serve_workload(
     thread: SimThread,
     mapping,
     arrivals: List[int],
-    plan: Tuple[List[int], List[int], List[bool]],
+    plan: AccessPlan,
     stats: TenantStats,
 ) -> Iterator[None]:
     """One tenant's FIFO server loop over ``mapping``.
 
-    Each executor step performs exactly one of: an idle wait for the next
-    arrival, or one ``access_step`` — over the oldest pending request in
-    unbatched mode, over all currently pending admitted requests in
-    batched mode (one op, a hit run, or a fused fault).
+    Admitted requests are copied, in admission order, into an
+    admitted-order :class:`AccessPlan` allocated once per tenant; shed
+    requests never enter it.  The pending requests are always the slice
+    ``[completed, admitted)`` of that plan, so each executor step
+    performs exactly one of: an idle wait for the next arrival, or one
+    ``access_step`` over the pending slice — one op in unbatched mode;
+    one op, a hit run, or a fused fault in batched mode — at a cost
+    that does not grow with the number of pending requests.
     Admission runs at the top of every step and after every wait, so the
     decision for each arrival sees exactly the completions at or before
     it regardless of mode (module docstring).
@@ -217,11 +182,19 @@ def serve_workload(
     clock = thread.clock
     queue = stats.queue
     sojourns = stats.sojourns
-    pages_seq, offsets_seq, writes_seq = plan
-    samples = thread.latencies._samples
+    req_pages, req_offsets, req_writes = plan
     total = len(arrivals)
-    pending: deque = deque()
+    admitted_plan = AccessPlan(
+        np.empty(total, dtype=np.int64),
+        np.empty(total, dtype=np.int64),
+        np.empty(total, dtype=bool),
+    )
+    adm_pages, adm_offsets, adm_writes = admitted_plan
+    # Arrival stamp of each admitted request, in admission order.
+    adm_arrivals: List[int] = []
+    samples = thread.latencies._samples
     next_req = 0
+    completed = 0
     # Completion-cycle chain shared verbatim by all executor modes:
     # reset to the (exact, integer) clock after every idle wait, advanced
     # by the engine's per-op latency samples while the server is busy.
@@ -232,30 +205,31 @@ def serve_workload(
         index = next_req
         while index < total and arrivals[index] <= now:
             if queue.on_arrival(arrivals[index]):
-                pending.append(index)
+                slot = len(adm_arrivals)
+                adm_pages[slot] = req_pages[index]
+                adm_offsets[slot] = req_offsets[index]
+                adm_writes[slot] = req_writes[index]
+                adm_arrivals.append(arrivals[index])
             index += 1
         return index
 
     while True:
         next_req = admit_upto(clock.now)
-        if not pending:
+        admitted = len(adm_arrivals)
+        if completed == admitted:
             if next_req >= total:
                 return
             clock.wait_until(float(arrivals[next_req]), IDLE_ARRIVAL)
             cursor = clock.now
             yield
             continue
-        if thread.run_horizon is None:
-            consumed = step(thread, mapping, plan, pending[0])
-        else:
-            batch = _batch_plan(list(pending), pages_seq, offsets_seq, writes_seq)
-            consumed = step(thread, mapping, batch, 0)
+        consumed = step(thread, mapping, admitted_plan, completed, admitted)
         base = len(samples) - consumed
         for j in range(consumed):
             cursor += samples[base + j]
-            request = pending.popleft()
             queue.on_completion(cursor)
-            sojourns.record(cursor - arrivals[request])
+            sojourns.record(cursor - adm_arrivals[completed + j])
+        completed += consumed
         yield
 
 

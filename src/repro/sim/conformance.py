@@ -38,7 +38,7 @@ from repro.common import units
 from repro.fault.plan import FaultPlan, FaultSpec, clear_plan, install_plan
 from repro.mmio.files import BackingFile
 from repro.sim.executor import SimThread
-from repro.sim.invariants import check_frames
+from repro.sim.invariants import check_frames, check_mappings
 
 #: Counters that report on the batching/fast-forward machinery itself
 #: (how many runs, how many ops retired inside runs, how many analytic
@@ -240,7 +240,9 @@ def run_cell(
     """Run one mmio microbenchmark cell and return its full state digest.
 
     The cell's end state must also pass
-    :func:`~repro.sim.invariants.check_frames` (frame conservation).
+    :func:`~repro.sim.invariants.check_frames` (frame conservation) and
+    :func:`~repro.sim.invariants.check_mappings` (PTE, cache, LRU and TLB
+    agreement).
 
     ``fastforward`` additionally enables the engine's analytic
     fast-forward on top of batching (it has no effect unbatched), giving
@@ -289,6 +291,7 @@ def run_cell(
         )
         result = run_microbench(stack.engine, files, config)
         check_frames(stack)
+        check_mappings(stack)
         digest = _common_digest(stack, result, plan)
         digest["page_table"] = _page_table_digest(stack.engine.page_table)
         digest["cache"] = _mmio_cache_digest(stack.engine.cache, stack.engine._pool())

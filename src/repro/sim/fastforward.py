@@ -45,12 +45,9 @@ profiling cost will amortize.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
-try:
-    import numpy as _np
-except ImportError:      # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 #: Minimum accesses an analytic window must retire to amortize its numpy
 #: setup; shorter prospective runs fall through to the slim Python loop.
@@ -67,93 +64,39 @@ MAX_ANALYTIC_WINDOW = 1 << 17
 MAX_ANALYTIC_PAGES = 1 << 22
 
 
-def numpy_available() -> bool:
-    """Whether the vectorized closed forms can run at all."""
-    return _np is not None
-
-
 class AccessPlan(tuple):
-    """A thread's precomputed access plan with optional vectorized views.
+    """A thread's precomputed access plan: three equal-length arrays.
 
-    Behaves exactly like the historical 3-tuple ``(pages,
-    in_page_offsets, is_write_flags)`` of parallel Python lists — every
-    existing consumer (the per-op slow path, the slim hit loop) unpacks
-    it unchanged — while optionally carrying ``np_pages`` (int64) and
-    ``np_writes`` (bool) numpy views of the same values for the analytic
-    fast-forward path.  The arrays are derived from the *same draws* as
-    the lists (never recomputed), so list and array entries are equal by
-    construction.
+    ``pages`` (int64 page indices into the mapping), ``offsets`` (int64
+    in-page byte offsets) and ``writes`` (bool store flags) describe one
+    8-byte access each.  The plan unpacks as ``(pages, offsets, writes)``;
+    per-op consumers read elements with ``ndarray.item`` so only Python
+    ints and bools reach clocks, dict keys and digested state, and the
+    analytic fast-forward profiles windows of the same arrays directly.
     """
 
-    #: int64 array equal to the pages list, or None (no numpy / caller
-    #: built the plan by hand).
-    np_pages = None
-    #: bool array equal to the writes list, or None.
-    np_writes = None
+    __slots__ = ()
 
-    @classmethod
-    def build(cls, pages, offsets, writes, np_pages=None, np_writes=None):
-        """Assemble a plan from parallel lists plus optional array views."""
-        plan = cls((pages, offsets, writes))
-        plan.np_pages = np_pages
-        plan.np_writes = np_writes
-        return plan
-
-
-class LazyIntSeq:
-    """List-like view over an int64 array yielding Python ints.
-
-    Fast-forward plans keep their draws as arrays and wrap them in these
-    views instead of calling ``tolist()`` — at headline figure scales the
-    list materialization alone costs more than the whole analytic replay.
-    ``__getitem__`` converts on access so consumers only ever see Python
-    ints (numpy scalars must never leak into clocks, dict keys, or
-    digested state); per-op consumers touch a few thousand entries of a
-    multi-million-entry plan, so the conversions never add up.
-    """
-
-    __slots__ = ("_arr",)
-
-    def __init__(self, arr) -> None:
-        self._arr = arr
-
-    def __len__(self) -> int:
-        return int(self._arr.shape[0])
-
-    def __getitem__(self, index: int) -> int:
-        return int(self._arr[index])
+    def __new__(cls, pages, offsets, writes) -> "AccessPlan":
+        pages = _np.asarray(pages, dtype=_np.int64)
+        offsets = _np.asarray(offsets, dtype=_np.int64)
+        writes = _np.asarray(writes, dtype=bool)
+        if not len(pages) == len(offsets) == len(writes):
+            raise ValueError(
+                f"plan columns differ in length: {len(pages)} pages, "
+                f"{len(offsets)} offsets, {len(writes)} writes"
+            )
+        return super().__new__(cls, (pages, offsets, writes))
 
 
-class LazyBoolSeq:
-    """List-like view over a bool array yielding Python bools.
-
-    Same contract as :class:`LazyIntSeq`, for the plan's write flags.
-    """
-
-    __slots__ = ("_arr",)
-
-    def __init__(self, arr) -> None:
-        self._arr = arr
-
-    def __len__(self) -> int:
-        return int(self._arr.shape[0])
-
-    def __getitem__(self, index: int) -> bool:
-        return bool(self._arr[index])
-
-
-def write_cut(np_writes, index: int, limit: int) -> int:
+def write_cut(writes, index: int, limit: int) -> int:
     """First write position in ``[index, limit)``, or ``limit`` if none.
 
     The analytic path handles pure loads only (stores mutate frame bytes
     and PTE dirty protocol state per access), so the window is cut just
-    before the first write and the slim loop takes over there.  ``None``
-    for ``np_writes`` means the plan carries no write flags and the
-    window is treated as all-reads.
+    before the first write and the slim loop takes over there.
     """
-    if np_writes is None:
-        return limit
-    window = np_writes[index:limit]
+    window = writes[index:limit]
     if not window.any():
         return limit
     return index + int(window.argmax())

@@ -19,6 +19,7 @@ from repro.mmio.vma import MADV_RANDOM
 from repro.obs import TRACER
 from repro.sim.conformance import MMIO_ENGINE_KINDS, diff_digests, mmio_state_digest
 from repro.sim.executor import RunResult, SimThread
+from repro.sim.fastforward import AccessPlan
 
 MAKERS = {
     "aquila": make_aquila_stack,
@@ -54,10 +55,10 @@ def _run(engine_kind, case, reference):
     if case == "cpi_1_4":
         thread.clock.cpi_factor = 1.4
     ops = CASES[case]
-    plan = tuple(list(column) for column in zip(*ops))
+    plan = AccessPlan(*zip(*ops))
     last = len(ops) - 1
     for index in range(last):
-        engine.access_step(thread, mapping, plan, index)
+        engine.access_step(thread, mapping, plan, index, len(ops))
     engine.fastforward = not reference
     if reference or case == "no_horizon":
         thread.run_horizon = None
@@ -74,9 +75,9 @@ def _run(engine_kind, case, reference):
     counters = (engine.faults, getattr(engine, "ff_faults", 0), engine.hit_runs)
     if case == "open_span":
         with TRACER.span("outer", thread.clock):
-            consumed = engine.access_step(thread, mapping, plan, last)
+            consumed = engine.access_step(thread, mapping, plan, last, len(ops))
     else:
-        consumed = engine.access_step(thread, mapping, plan, last)
+        consumed = engine.access_step(thread, mapping, plan, last, len(ops))
     del engine.load, engine.store
     deltas = (
         engine.faults - counters[0],

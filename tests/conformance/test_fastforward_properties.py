@@ -21,19 +21,16 @@ style (200+ generated cases, deterministic by seed):
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.sim.conformance import MMIO_ENGINE_KINDS, run_cell
 from repro.sim.fastforward import (
+    AccessPlan,
     expected_hit_run_length,
-    numpy_available,
     window_profile,
     write_cut,
 )
-
-np = pytest.importorskip("numpy") if numpy_available() else None
-if np is None:  # pragma: no cover - numpy ships with the toolchain
-    pytest.skip("closed forms require numpy", allow_module_level=True)
 
 #: Unit-property volume: seeded random windows per closed form.
 PROFILE_CASES = 200
@@ -52,6 +49,23 @@ def _random_window(rng, max_pages=64, max_len=400):
     hot = rng.randint(1, num_pages)  # small hot sets → many duplicates
     window = [rng.randrange(hot) for _ in range(n)]
     return np.asarray(window, dtype=np.int64), num_pages
+
+
+class TestAccessPlan:
+    """The one plan form: three equal-length int64/int64/bool arrays."""
+
+    def test_columns_become_typed_arrays(self):
+        offsets = np.array([8, 16], dtype=np.uint64)
+        pages, offsets, writes = AccessPlan([3, 1], offsets, [0, 1])
+        assert (pages.dtype, offsets.dtype, writes.dtype) == (
+            np.int64, np.int64, np.bool_
+        )
+        assert pages.tolist() == [3, 1] and writes.tolist() == [False, True]
+        assert type(pages.item(0)) is int and type(writes.item(1)) is bool
+
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            AccessPlan([1, 2], [0, 0], [False])
 
 
 class TestWindowProfileProperty:
@@ -98,9 +112,6 @@ class TestWriteCutProperty:
                     expected = pos
                     break
             assert write_cut(arr, index, limit) == expected, f"case {case}"
-
-    def test_none_means_all_reads(self):
-        assert write_cut(None, 3, 17) == 17
 
 
 class TestMissRateModel:

@@ -51,6 +51,20 @@ SERVE_CELLS = {
         engine_kind="aquila", antagonist_intensity=6, write_fraction=0.2
     ),
     "engagement-mix": dict(mix="engagement"),
+    "kmmap-engagement": dict(mix="engagement", engine_kind="kmmap"),
+    "linux-engagement": dict(mix="engagement", engine_kind="linux"),
+}
+
+
+#: Full-state digest hashes of the engagement cells, pinned from the
+#: request-id FIFO implementation that predates the admitted-order plan.
+#: Modes agree with each other even if every mode feeds the engine the
+#: wrong request, so these pins are what check that a shed request's
+#: access is skipped and each admitted one is served with its own page.
+ENGAGEMENT_DIGESTS = {
+    "aquila": "266c3fe1d1ded87ea592ca8f28414ea8aabd25fcf9e2fba6e76b639de1f4c4f6",
+    "kmmap": "9fb99dfd9e19fdcb890681610fd6e06418c7d37669c9fdccd11190dfe9f29c53",
+    "linux": "a7d53cee8fd385b58ecbb5db86d51f6b38fd4b59e230673621c88beb0e638b7d",
 }
 
 
@@ -65,6 +79,13 @@ class TestServeConformance:
         # Non-vacuity: the serving layer did complete work in every tenant.
         for name, tenant in digest["serve"].items():
             assert tenant["completed"] > 0, f"tenant {name} served nothing"
+        # The engagement mix overloads its queues on every engine, so each
+        # mode must also skip shed requests in its admitted-order plan.
+        if SERVE_CELLS[cell].get("mix") == "engagement":
+            shed = sum(tenant["shed"] for tenant in digest["serve"].values())
+            assert shed > 0, "engagement cell shed no requests"
+            engine_kind = SERVE_CELLS[cell].get("engine_kind", "aquila")
+            assert hash_digest(digest) == ENGAGEMENT_DIGESTS[engine_kind]
 
     def test_digest_has_serve_section(self):
         digest = run_conformance_cell(batched=True, fastforward=True)

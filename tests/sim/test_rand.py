@@ -1,5 +1,6 @@
 """Deterministic random streams and YCSB distributions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +9,12 @@ from repro.sim.rand import (
     LatestGenerator,
     ScrambledZipfGenerator,
     ZipfGenerator,
+    bernoulli_draws,
     counter_draws,
     derive_seed,
     exponential_interarrivals,
     fnv1a_64,
+    mix64,
     stream,
 )
 
@@ -38,6 +41,48 @@ class TestFNV:
     @given(st.integers(min_value=0, max_value=1 << 64 - 1))
     def test_in_64bit_range(self, value):
         assert 0 <= fnv1a_64(value) < 1 << 64
+
+
+class TestCounterDraws:
+    """The vectorized counter stream against the scalar ``mix64`` reference."""
+
+    MASK64 = (1 << 64) - 1
+    PHI = 0x9E3779B97F4A7C15
+    COUNT = 64
+
+    def _reference(self, base, tag, count):
+        start = (base ^ mix64(tag)) & self.MASK64
+        return [mix64(start + self.PHI * i) for i in range(count)]
+
+    @pytest.mark.parametrize("tag", [0, 1, 3, 23, 0xDEADBEEF])
+    def test_matches_scalar_mix64(self, tag):
+        # Plain bases, plus bases whose stream start lies within
+        # COUNT * PHI below 2**64, so start + PHI * i wraps in uint64.
+        bases = [0, 1, derive_seed(7, "mb-0"), self.MASK64]
+        for below in (1, self.PHI, self.COUNT * self.PHI // 3, self.COUNT * self.PHI):
+            bases.append((((1 << 64) - below) & self.MASK64) ^ mix64(tag))
+        for base in bases:
+            draws = counter_draws(base, tag, self.COUNT)
+            assert draws.dtype == np.uint64
+            assert draws.tolist() == self._reference(base, tag, self.COUNT), (
+                f"base {base:#x}, tag {tag}"
+            )
+
+    def test_empty(self):
+        assert counter_draws(5, 1, 0).tolist() == []
+
+
+class TestBernoulliDraws:
+    @pytest.mark.parametrize("probability", [0.1, 0.5, 0.9])
+    def test_thresholds_the_counter_stream(self, probability):
+        base = derive_seed(3, "writes")
+        threshold = int(probability * 2.0**64)
+        expected = [d < threshold for d in counter_draws(base, 9, 500).tolist()]
+        assert bernoulli_draws(base, 9, 500, probability).tolist() == expected
+
+    def test_degenerate_probabilities(self):
+        assert not bernoulli_draws(1, 2, 50, 0.0).any()
+        assert bernoulli_draws(1, 2, 50, 1.0).all()
 
 
 class TestExponentialInterarrivals:
@@ -87,9 +132,7 @@ class TestExponentialInterarrivals:
         import math
 
         base = derive_seed(33, "gaps")
-        draws = counter_draws(base, 4, 16)
-        if not isinstance(draws, list):
-            draws = draws.tolist()
+        draws = counter_draws(base, 4, 16).tolist()
         expected = [
             max(1, round(-self.MEAN * math.log((d + 0.5) / 2.0**64)))
             for d in draws
